@@ -35,11 +35,12 @@
 //! and a persistent quarantine on the same framing.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use scibench_trace::export::{json_escape, push_json_escaped};
 use scibench_trace::json::{parse as parse_json, JsonValue};
 
 use super::design::{Design, RunPoint};
@@ -165,15 +166,57 @@ pub struct JournalSpec<'a> {
 // Hashing and framing primitives.
 // ---------------------------------------------------------------------------
 
+/// Slicing-by-8 tables of the reflected IEEE polynomial 0xEDB88320:
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[k][b]` is `CRC_TABLES[0][b]` advanced through `k` more
+/// zero bytes, so eight table lookups consume eight input bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// IEEE CRC32 (reflected, polynomial 0xEDB88320) — the frame checksum.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -228,24 +271,34 @@ pub fn point_key(meta: &JournalMeta, point: &RunPoint) -> JournalKey {
     JournalKey(splitmix64(h))
 }
 
-fn f64_hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+/// Appends `x` as its quoted 16-hex-digit IEEE-754 bit pattern.
+fn push_f64_hex(out: &mut String, x: f64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bits = x.to_bits();
+    out.push('"');
+    for shift in (0..16).rev() {
+        out.push(char::from(HEX[(bits >> (4 * shift) & 0xF) as usize]));
+    }
+    out.push('"');
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` as a quoted, escaped JSON string.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    push_json_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends `items` as a JSON array, each written by `push_item`.
+fn push_array<T>(out: &mut String, items: &[T], push_item: impl Fn(&mut String, &T)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        push_item(out, item);
     }
-    out
+    out.push(']');
 }
 
 /// Wraps a JSON payload into one CRC-framed line (with trailing newline).
@@ -258,7 +311,16 @@ fn unframe(line: &str) -> Result<&str, String> {
     if line.len() < 10 || line.as_bytes().get(8) != Some(&b' ') {
         return Err("frame shorter than CRC prefix".into());
     }
-    let crc = u32::from_str_radix(&line[..8], 16).map_err(|_| "bad CRC hex".to_string())?;
+    // Exactly the 8 lowercase digits the writer emits, so no altered
+    // prefix (an upper-case digit, a sign) can pass as the same CRC.
+    let crc = line.as_bytes()[..8]
+        .iter()
+        .try_fold(0u32, |acc, &b| match b {
+            b'0'..=b'9' => Some(acc << 4 | u32::from(b - b'0')),
+            b'a'..=b'f' => Some(acc << 4 | u32::from(b - b'a' + 10)),
+            _ => None,
+        })
+        .ok_or_else(|| "bad CRC hex".to_string())?;
     let payload = &line[9..];
     let actual = crc32(payload.as_bytes());
     if crc != actual {
@@ -392,67 +454,80 @@ impl PointRecord {
 
     /// Serializes the record body as canonical JSON (no CRC frame).
     pub fn to_json(&self) -> String {
-        let fate = match &self.fate {
+        // One allocation: a sample is 19 bytes (`"<16 hex>",`).
+        let samples = self
+            .outcome
+            .as_ref()
+            .map_or(0, |o| o.warmup_samples.len() + o.samples.len());
+        let text: usize = self
+            .levels
+            .iter()
+            .chain(&self.notes)
+            .map(|s| s.len() + 3)
+            .sum();
+        let sketch = self.sketch.as_ref().map_or(0, |s| s.len() + 12);
+        let mut out = String::with_capacity(256 + 19 * samples + text + sketch);
+        let _ = write!(
+            out,
+            "{{\"kind\":\"point\",\"idx\":{},\"key\":\"{}\",\"levels\":",
+            self.index, self.key
+        );
+        push_array(&mut out, &self.levels, |out, s| push_quoted(out, s));
+        out.push_str(",\"fate\":");
+        match &self.fate {
             PointFate::Completed {
                 attempts,
                 samples_dropped,
-            } => format!(
-                "{{\"kind\":\"completed\",\"attempts\":{attempts},\"dropped\":{samples_dropped}}}"
-            ),
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"completed\",\"attempts\":{attempts},\"dropped\":{samples_dropped}}}"
+                );
+            }
             PointFate::TimedOut {
                 attempts,
                 elapsed_ns,
-            } => format!(
-                "{{\"kind\":\"timed_out\",\"attempts\":{attempts},\"elapsed\":\"{}\"}}",
-                f64_hex(*elapsed_ns)
-            ),
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"timed_out\",\"attempts\":{attempts},\"elapsed\":"
+                );
+                push_f64_hex(&mut out, *elapsed_ns);
+                out.push('}');
+            }
             PointFate::Abandoned {
                 attempts,
                 last_error,
-            } => format!(
-                "{{\"kind\":\"abandoned\",\"attempts\":{attempts},\"error\":\"{}\"}}",
-                esc(last_error)
-            ),
-        };
-        let outcome = match &self.outcome {
-            None => "null".to_owned(),
-            Some(o) => {
-                let bits = |xs: &[f64]| {
-                    xs.iter()
-                        .map(|x| format!("\"{}\"", f64_hex(*x)))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                };
-                format!(
-                    "{{\"name\":\"{}\",\"converged\":{},\"warmup\":[{}],\"samples\":[{}]}}",
-                    esc(&o.name),
-                    o.converged,
-                    bits(&o.warmup_samples),
-                    bits(&o.samples),
-                )
+            } => {
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"abandoned\",\"attempts\":{attempts},\"error\":"
+                );
+                push_quoted(&mut out, last_error);
+                out.push('}');
             }
-        };
-        let levels = self
-            .levels
-            .iter()
-            .map(|l| format!("\"{}\"", esc(l)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let notes = self
-            .notes
-            .iter()
-            .map(|l| format!("\"{}\"", esc(l)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let sketch = match &self.sketch {
-            None => String::new(),
-            Some(s) => format!(",\"sketch\":\"{}\"", esc(s)),
-        };
-        format!(
-            "{{\"kind\":\"point\",\"idx\":{},\"key\":\"{}\",\"levels\":[{levels}],\
-             \"fate\":{fate},\"panics\":{},\"outcome\":{outcome},\"notes\":[{notes}]{sketch}}}",
-            self.index, self.key, self.panics_contained,
-        )
+        }
+        let _ = write!(out, ",\"panics\":{},\"outcome\":", self.panics_contained);
+        match &self.outcome {
+            None => out.push_str("null"),
+            Some(o) => {
+                out.push_str("{\"name\":");
+                push_quoted(&mut out, &o.name);
+                let _ = write!(out, ",\"converged\":{},\"warmup\":", o.converged);
+                push_array(&mut out, &o.warmup_samples, |out, &x| push_f64_hex(out, x));
+                out.push_str(",\"samples\":");
+                push_array(&mut out, &o.samples, |out, &x| push_f64_hex(out, x));
+                out.push('}');
+            }
+        }
+        out.push_str(",\"notes\":");
+        push_array(&mut out, &self.notes, |out, s| push_quoted(out, s));
+        if let Some(sketch) = &self.sketch {
+            out.push_str(",\"sketch\":");
+            push_quoted(&mut out, sketch);
+        }
+        out.push('}');
+        out
     }
 
     fn from_json(v: &JsonValue) -> Result<Self, String> {
@@ -503,8 +578,8 @@ fn header_json(meta: &JournalMeta) -> String {
         "{{\"kind\":\"header\",\"format\":{},\"code_version\":\"{}\",\"config\":\"{}\",\
          \"seed\":\"{:016x}\",\"design\":\"{:016x}\"}}",
         meta.format,
-        esc(&meta.code_version),
-        esc(&meta.config_fingerprint),
+        json_escape(&meta.code_version),
+        json_escape(&meta.config_fingerprint),
         meta.seed,
         meta.design_fingerprint,
     )
@@ -512,7 +587,8 @@ fn header_json(meta: &JournalMeta) -> String {
 
 fn header_from_json(v: &JsonValue) -> Result<JournalMeta, String> {
     Ok(JournalMeta {
-        format: get_usize(v, "format")? as u32,
+        format: u32::try_from(get_usize(v, "format")?)
+            .map_err(|_| "\"format\" is out of range".to_string())?,
         code_version: get_str(v, "code_version")?.to_owned(),
         config_fingerprint: get_str(v, "config")?.to_owned(),
         seed: get_hex64(v, "seed")?,
@@ -857,6 +933,215 @@ mod tests {
     fn crc32_matches_known_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time IEEE CRC32: the reference the table version must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// Deterministic byte stream for the seeded tests below.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        (0..len as u64)
+            .map(|i| splitmix64(seed ^ i.wrapping_mul(0x9E37_79B9)) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn crc32_table_matches_bitwise_reference() {
+        for len in 0..=257usize {
+            for seed in 0..4u64 {
+                let bytes = seeded_bytes(seed << 32 | len as u64, len);
+                assert_eq!(
+                    crc32(&bytes),
+                    crc32_bitwise(&bytes),
+                    "len={len} seed={seed}"
+                );
+            }
+        }
+    }
+
+    /// A fixed record exercising every encoder branch that carries data:
+    /// NaN, -0.0, infinities, a subnormal, escapes and multi-byte UTF-8.
+    fn golden_record() -> PointRecord {
+        PointRecord {
+            index: 12,
+            key: JournalKey(0x0123_4567_89ab_cdef),
+            levels: vec!["a\"b".into(), "é\t€".into()],
+            fate: PointFate::Completed {
+                attempts: 3,
+                samples_dropped: 1,
+            },
+            panics_contained: 2,
+            outcome: Some(MeasurementOutcome {
+                name: "op\\x\n".into(),
+                warmup_samples: vec![-0.0],
+                samples: vec![f64::NAN, -0.0, 1.5, f64::NEG_INFINITY, 5e-324],
+                converged: false,
+            }),
+            notes: vec!["n\u{1}".into()],
+            sketch: Some("td1;200;0".into()),
+        }
+    }
+
+    #[test]
+    fn golden_frame_bytes_are_pinned() {
+        let rec = golden_record();
+        let json = rec.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"kind":"point","idx":12,"key":"0123456789abcdef","levels":["a\"b","é\t€"],"#,
+                r#""fate":{"kind":"completed","attempts":3,"dropped":1},"panics":2,"#,
+                r#""outcome":{"name":"op\\x\n","converged":false,"warmup":["8000000000000000"],"#,
+                r#""samples":["7ff8000000000000","8000000000000000","3ff8000000000000","#,
+                r#""fff0000000000000","0000000000000001"]},"notes":["n\u0001"],"#,
+                r#""sketch":"td1;200;0"}"#,
+            )
+        );
+        assert_eq!(frame_line(&json), format!("355e9a3f {json}\n"));
+        let parsed = PointRecord::from_json(&parse_json(&json).unwrap()).unwrap();
+        assert_eq!(parsed.to_json(), json);
+        let mut others = rec.clone();
+        others.outcome = None;
+        others.notes.clear();
+        others.sketch = None;
+        let prefix =
+            r#"{"kind":"point","idx":12,"key":"0123456789abcdef","levels":["a\"b","é\t€"],"#;
+        for (fate, expected) in [
+            (
+                PointFate::TimedOut {
+                    attempts: 7,
+                    elapsed_ns: -0.0,
+                },
+                r#""fate":{"kind":"timed_out","attempts":7,"elapsed":"8000000000000000"},"#,
+            ),
+            (
+                PointFate::Abandoned {
+                    attempts: 0,
+                    last_error: "x\"y".into(),
+                },
+                r#""fate":{"kind":"abandoned","attempts":0,"error":"x\"y"},"#,
+            ),
+        ] {
+            others.fate = fate;
+            let tail = r#""panics":2,"outcome":null,"notes":[]}"#;
+            assert_eq!(others.to_json(), format!("{prefix}{expected}{tail}"));
+        }
+    }
+
+    /// Header, begin and point frames of a small journal.
+    fn three_frame_journal() -> (Vec<u8>, [usize; 3]) {
+        let rec = PointRecord::from_run(0, JournalKey(7), &demo_run(true));
+        let frames = [
+            frame_line(&header_json(&demo_meta())),
+            frame_line("{\"kind\":\"begin\",\"idx\":0,\"key\":\"0000000000000007\"}"),
+            frame_line(&rec.to_json()),
+        ];
+        let lens = [frames[0].len(), frames[1].len(), frames[2].len()];
+        (frames.concat().into_bytes(), lens)
+    }
+
+    /// Decodes `bytes`, which must give `Ok`, `CorruptFrame` or
+    /// `MissingHeader` (a panic fails the test by itself).
+    fn decode_allowed(bytes: &[u8], case: &str) -> Result<JournalSnapshot, JournalError> {
+        let result = Journal::parse(bytes);
+        assert!(
+            matches!(
+                result,
+                Ok(_) | Err(JournalError::CorruptFrame { .. }) | Err(JournalError::MissingHeader)
+            ),
+            "{case}: {result:?}"
+        );
+        result
+    }
+
+    #[test]
+    fn decoder_fuzz_truncations_bit_flips_and_random_bytes() {
+        let (bytes, lens) = three_frame_journal();
+        let intact = Journal::parse(&bytes).unwrap();
+        assert_eq!((intact.frames, intact.records.len()), (3, 1));
+        assert!(intact.dangling_begins.is_empty());
+        let ends = [lens[0], lens[0] + lens[1], bytes.len()];
+
+        // Every truncation is a torn tail: the intact frames before the
+        // cut survive, and nothing after it does.
+        for cut in 0..=bytes.len() {
+            let snap = decode_allowed(&bytes[..cut], &format!("cut {cut}")).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(snap.frames, whole, "cut {cut}");
+            assert_eq!(
+                snap.valid_len,
+                if whole == 0 {
+                    0
+                } else {
+                    ends[whole - 1] as u64
+                }
+            );
+            assert_eq!(snap.torn, cut != snap.valid_len as usize, "cut {cut}");
+        }
+
+        // Every single-bit flip: the damaged frame is never accepted. It
+        // is either refused or, when it became part of the trailing line,
+        // dropped as torn together with everything after it.
+        for pos in 0..bytes.len() {
+            let frame_start = [0, ends[0], ends[1]]
+                .into_iter()
+                .filter(|&start| start <= pos)
+                .max()
+                .unwrap_or(0);
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[pos] ^= 1 << bit;
+                let case = format!("flip byte {pos} bit {bit}");
+                if let Ok(snap) = decode_allowed(&flipped, &case) {
+                    assert!(snap.torn, "{case}");
+                    assert!(snap.valid_len as usize <= frame_start, "{case}");
+                    assert!(snap.records.is_empty(), "{case}");
+                }
+            }
+        }
+
+        // Seeded random bytes: raw, after the intact prefix, and as
+        // CRC-valid frames so the JSON and record decoders see them too.
+        let payloads: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        for seed in 0..512u64 {
+            let len = (splitmix64(seed) % 300) as usize;
+            let noise = seeded_bytes(seed, len);
+            decode_allowed(&noise, &format!("random {seed}")).ok();
+            let mut tail = bytes[..ends[1]].to_vec();
+            tail.extend_from_slice(&noise);
+            decode_allowed(&tail, &format!("tail {seed}")).ok();
+            // Overwrite a few payload bytes of one frame with printable
+            // noise, then re-frame it with a correct CRC.
+            let victim = (seed % 3) as usize;
+            let mut payload = payloads[victim][9..].to_vec();
+            for (i, b) in noise.iter().take(1 + seed as usize % 4).enumerate() {
+                let at = (splitmix64(seed + i as u64) as usize) % payload.len();
+                payload[at] = b' ' + b % 95;
+            }
+            let Ok(payload) = String::from_utf8(payload) else {
+                continue;
+            };
+            let mut framed = Vec::new();
+            for (k, p) in payloads.iter().take(3).enumerate() {
+                if k == victim {
+                    framed.extend_from_slice(frame_line(&payload).as_bytes());
+                } else {
+                    framed.extend_from_slice(p);
+                    framed.push(b'\n');
+                }
+            }
+            decode_allowed(&framed, &format!("reframed {seed}")).ok();
+        }
     }
 
     #[test]

@@ -251,6 +251,9 @@ struct ShardState {
     barren_crashes: usize,
     aborted: bool,
     done: bool,
+    /// The journal as decoded when the shard finished, kept so the
+    /// merge does not decode it again.
+    snapshot: Option<JournalSnapshot>,
 }
 
 /// Everything mutable the supervisor tracks across the poll loop.
@@ -271,15 +274,14 @@ impl Supervisor<'_> {
     }
 
     /// Points of `shard` still needing execution: assigned minus
-    /// journaled minus quarantined.
-    fn remaining(&self, shard: &ShardState) -> Result<Vec<usize>, ShardError> {
-        let snapshot = Journal::load_or_empty(&shard.journal_path)?;
-        Ok(shard
+    /// journaled (in `snapshot`) minus quarantined.
+    fn remaining(&self, shard: &ShardState, snapshot: &JournalSnapshot) -> Vec<usize> {
+        shard
             .assigned
             .iter()
             .copied()
             .filter(|&idx| snapshot.record_for(self.keys[idx]).is_none() && !self.poisoned(idx))
-            .collect())
+            .collect()
     }
 
     fn spawn(&mut self, shard: &mut ShardState, remaining: &[usize]) -> Result<(), ShardError> {
@@ -305,10 +307,14 @@ impl Supervisor<'_> {
     }
 
     /// Attributes a worker death to the points it had begun (strikes,
-    /// possibly quarantine) or to the shard itself (barren crash).
-    fn attribute_crash(&mut self, shard: &mut ShardState) -> Result<(), ShardError> {
-        let snapshot = Journal::load_or_empty(&shard.journal_path)?;
-        let counts = strike_counts(&snapshot);
+    /// possibly quarantine) or to the shard itself (barren crash), from
+    /// the shard journal the dead worker left behind.
+    fn attribute_crash(
+        &mut self,
+        shard: &mut ShardState,
+        snapshot: &JournalSnapshot,
+    ) -> Result<(), ShardError> {
+        let counts = strike_counts(snapshot);
         let mut struck = false;
         for &idx in counts.keys() {
             if !shard.assigned.contains(&idx) || self.poisoned(idx) {
@@ -331,19 +337,43 @@ impl Supervisor<'_> {
         Ok(())
     }
 
-    /// Respawns `shard` on its remaining points, or marks it done.
-    fn respawn_or_finish(&mut self, shard: &mut ShardState) -> Result<(), ShardError> {
-        if shard.aborted {
-            shard.done = true;
-            return Ok(());
-        }
-        let remaining = self.remaining(shard)?;
+    /// Spawns a worker on the points `snapshot` shows unfinished. With
+    /// none left, or the shard aborted, marks the shard done and keeps
+    /// `snapshot` for the merge. Returns whether a worker was spawned.
+    fn spawn_or_finish(
+        &mut self,
+        shard: &mut ShardState,
+        snapshot: JournalSnapshot,
+    ) -> Result<bool, ShardError> {
+        let remaining = if shard.aborted {
+            Vec::new()
+        } else {
+            self.remaining(shard, &snapshot)
+        };
         if remaining.is_empty() {
             shard.done = true;
-            return Ok(());
+            shard.snapshot = Some(snapshot);
+            return Ok(false);
         }
-        self.report.workers_respawned += 1;
-        self.spawn(shard, &remaining)
+        self.spawn(shard, &remaining)?;
+        Ok(true)
+    }
+
+    /// Handles the exit of `shard`'s worker: decodes the journal it left
+    /// once, charges a failed exit to its points, then respawns the
+    /// worker on what remains or finishes the shard. A clean exit with
+    /// work left behind (a worker bug) is respawned the same way.
+    fn worker_exited(&mut self, shard: &mut ShardState, failed: bool) -> Result<(), ShardError> {
+        shard.child = None;
+        let snapshot = Journal::load_or_empty(&shard.journal_path)?;
+        if failed {
+            self.report.crashes_observed += 1;
+            self.attribute_crash(shard, &snapshot)?;
+        }
+        if self.spawn_or_finish(shard, snapshot)? {
+            self.report.workers_respawned += 1;
+        }
+        Ok(())
     }
 }
 
@@ -415,24 +445,20 @@ pub fn supervise_shards(
             barren_crashes: 0,
             aborted: false,
             done: false,
+            snapshot: None,
         })
         .collect();
 
     // Make sure every shard journal exists with a valid header before
     // any worker runs, so resume/merge always sees consistent identity.
-    for shard in &shards {
-        let (journal, _) = Journal::open_resume(&shard.journal_path, &meta)?;
-        drop(journal);
-    }
+    let snapshots = shards
+        .iter()
+        .map(|shard| Journal::open_resume(&shard.journal_path, &meta).map(|(_, snap)| snap))
+        .collect::<Result<Vec<_>, _>>()?;
 
     // Initial spawns (skipping shards with nothing left to do).
-    for shard in &mut shards {
-        let remaining = supervisor.remaining(shard)?;
-        if remaining.is_empty() {
-            shard.done = true;
-        } else {
-            supervisor.spawn(shard, &remaining)?;
-        }
+    for (shard, snapshot) in shards.iter_mut().zip(snapshots) {
+        supervisor.spawn_or_finish(shard, snapshot)?;
     }
 
     let heartbeat = Duration::from_millis(policy.heartbeat_timeout_ms.max(1));
@@ -444,16 +470,7 @@ pub fn supervise_shards(
                 continue;
             };
             match child.try_wait() {
-                Ok(Some(status)) => {
-                    shard.child = None;
-                    if !status.success() {
-                        supervisor.report.crashes_observed += 1;
-                        supervisor.attribute_crash(shard)?;
-                    }
-                    // A clean exit with work left behind (worker bug) is
-                    // handled the same way: respawn on what remains.
-                    supervisor.respawn_or_finish(shard)?;
-                }
+                Ok(Some(status)) => supervisor.worker_exited(shard, !status.success())?,
                 Ok(None) => {
                     // Heartbeat: journal growth is the liveness signal.
                     let len = journal_len(&shard.journal_path);
@@ -463,11 +480,8 @@ pub fn supervise_shards(
                     } else if shard.last_progress.elapsed() > heartbeat {
                         let _ = child.kill();
                         let _ = child.wait();
-                        shard.child = None;
                         supervisor.report.hangs_killed += 1;
-                        supervisor.report.crashes_observed += 1;
-                        supervisor.attribute_crash(shard)?;
-                        supervisor.respawn_or_finish(shard)?;
+                        supervisor.worker_exited(shard, true)?;
                     }
                 }
                 Err(e) => {
@@ -480,13 +494,17 @@ pub fn supervise_shards(
         }
     }
 
-    // Merge shard journals into design order.
+    // Merge the shard journals into design order, moving each record
+    // out of the snapshot its shard finished with.
     let mut runs: Vec<Option<ResilientRun>> = vec![None; points.len()];
-    for shard in &shards {
-        let snapshot = Journal::load_or_empty(&shard.journal_path)?;
+    for shard in shards {
+        let mut snapshot = match shard.snapshot {
+            Some(snapshot) => snapshot,
+            None => Journal::load_or_empty(&shard.journal_path)?,
+        };
         for &idx in &shard.assigned {
-            if let Some(record) = snapshot.record_for(keys[idx]) {
-                runs[idx] = Some(record.clone().into_run());
+            if let Some(record) = snapshot.records.remove(&keys[idx]) {
+                runs[idx] = Some(record.into_run());
             }
         }
     }

@@ -446,7 +446,7 @@ impl MergeableSummary for StreamingSummary {
                 .ok_or(StatsError::MalformedSketch("missing '=' in ss1 field"))?;
             match key {
                 "thr" => threshold = Some(parse_usize(value)?),
-                "delta" => delta = Some(parse_u64(value)? as u32),
+                "delta" => delta = Some(tdigest::parse_delta(value)?),
                 "mom" => moments = Some(OnlineMoments::from_record(value)?),
                 "grid" => {
                     grid = Some(if value == "-" {
@@ -693,6 +693,27 @@ mod tests {
         assert_eq!(back.to_record(), fwd.to_record());
         assert!(StreamingSummary::from_record("ss1|thr=0").is_err());
         assert!(StreamingSummary::from_record("nope").is_err());
+    }
+
+    #[test]
+    fn record_delta_is_range_checked() {
+        // An exact-regime record with an unusable δ would otherwise decode
+        // and then fail at promotion, deep inside a later push.
+        let mut s = StreamingSummary::new(cfg(4)).unwrap();
+        s.push(1.0);
+        let record = s.to_record();
+        let field = format!("|delta={}|", DEFAULT_DIGEST_DELTA);
+        assert!(record.contains(&field), "{record}");
+        for bad in ["4294967496", "3", "0"] {
+            let record = record.replace(&field, &format!("|delta={bad}|"));
+            assert!(
+                matches!(
+                    StreamingSummary::from_record(&record),
+                    Err(StatsError::InvalidParameter { name: "delta", .. })
+                ),
+                "{record}"
+            );
+        }
     }
 
     #[test]

@@ -41,6 +41,22 @@ pub struct TDigest {
 /// buffers amortize the O(m log m) merge over more pushes.
 const BUFFER_FACTOR: usize = 8;
 
+/// The compression parameters δ a digest accepts.
+const DELTA_RANGE: std::ops::RangeInclusive<u32> = 10..=10_000;
+
+/// Parses a record's δ field, rejecting values outside [`DELTA_RANGE`]
+/// (including ones that do not fit a `u32`) as `InvalidParameter`.
+pub(crate) fn parse_delta(s: &str) -> StatsResult<u32> {
+    let delta = parse_u64(s)?;
+    u32::try_from(delta)
+        .ok()
+        .filter(|d| DELTA_RANGE.contains(d))
+        .ok_or(StatsError::InvalidParameter {
+            name: "delta",
+            value: delta as f64,
+        })
+}
+
 fn k_scale(q: f64, delta: f64) -> f64 {
     delta * ((2.0 * q - 1.0).clamp(-1.0, 1.0).asin() / std::f64::consts::PI + 0.5)
 }
@@ -49,7 +65,7 @@ impl TDigest {
     /// Creates an empty digest with compression parameter `delta`
     /// (10 ≤ δ ≤ 10 000; ~100–500 is typical, larger is more accurate).
     pub fn new(delta: u32) -> StatsResult<Self> {
-        if !(10..=10_000).contains(&delta) {
+        if !DELTA_RANGE.contains(&delta) {
             return Err(StatsError::InvalidParameter {
                 name: "delta",
                 value: delta as f64,
@@ -274,8 +290,7 @@ impl MergeableSummary for TDigest {
         if parts.len() != 7 || parts[0] != "td1" {
             return Err(StatsError::MalformedSketch("expected 7-part td1 record"));
         }
-        let delta = parse_u64(parts[1])? as u32;
-        let mut digest = TDigest::new(delta)?;
+        let mut digest = TDigest::new(parse_delta(parts[1])?)?;
         digest.n = parse_u64(parts[2])?;
         digest.non_finite = parse_u64(parts[3])?;
         digest.min = f64_from_hex(parts[4])?;
@@ -285,10 +300,18 @@ impl MergeableSummary for TDigest {
                 let (mean, weight) = c
                     .split_once(':')
                     .ok_or(StatsError::MalformedSketch("centroid missing ':'"))?;
-                digest.centroids.push(Centroid {
-                    mean: f64_from_hex(mean)?,
-                    weight: f64_from_hex(weight)?,
-                });
+                let (mean, weight) = (f64_from_hex(mean)?, f64_from_hex(weight)?);
+                // Compression sorts centroids and needs finite means and
+                // positive finite weights.
+                if !mean.is_finite() {
+                    return Err(StatsError::MalformedSketch("non-finite centroid mean"));
+                }
+                if !(weight.is_finite() && weight > 0.0) {
+                    return Err(StatsError::MalformedSketch(
+                        "centroid weight not positive and finite",
+                    ));
+                }
+                digest.centroids.push(Centroid { mean, weight });
             }
         }
         Ok(digest)
@@ -406,6 +429,66 @@ mod tests {
         ));
         assert!(TDigest::from_record("td1;100;0").is_err());
         assert!(TDigest::from_record("nope").is_err());
+    }
+
+    #[test]
+    fn out_of_range_record_delta_is_rejected_not_truncated() {
+        let valid = TDigest::new(200).unwrap().to_record();
+        let tail = valid.strip_prefix("td1;200").unwrap();
+        // 4294967496 = 2^32 + 200: an `as u32` cast would decode δ=200.
+        for delta in ["4294967496", "18446744073709551615", "5", "10001", "0"] {
+            let record = format!("td1;{delta}{tail}");
+            assert!(
+                matches!(
+                    TDigest::from_record(&record),
+                    Err(StatsError::InvalidParameter { name: "delta", .. })
+                ),
+                "{record}"
+            );
+        }
+        assert!(matches!(
+            TDigest::from_record(&format!("td1;-1{tail}")),
+            Err(StatsError::MalformedSketch(_))
+        ));
+    }
+
+    #[test]
+    fn bad_centroids_are_rejected_instead_of_panicking_later() {
+        let mut d = TDigest::new(10).unwrap();
+        for x in [1.0, 2.0, 3.0] {
+            d.push(x);
+        }
+        let good = d.to_record();
+        let (head, centroids) = good.rsplit_once(';').unwrap();
+        let one = centroids.split(',').next().unwrap();
+        let (mean, weight) = one.split_once(':').unwrap();
+        let hex = crate::f64_to_hex;
+        let cases = [
+            (hex(f64::NAN), weight.to_owned(), "NaN mean"),
+            (hex(f64::INFINITY), weight.to_owned(), "+inf mean"),
+            (hex(f64::NEG_INFINITY), weight.to_owned(), "-inf mean"),
+            (mean.to_owned(), hex(f64::NAN), "NaN weight"),
+            (mean.to_owned(), hex(f64::INFINITY), "inf weight"),
+            (mean.to_owned(), hex(0.0), "zero weight"),
+            (mean.to_owned(), hex(-0.0), "negative zero weight"),
+            (mean.to_owned(), hex(-1.0), "negative weight"),
+        ];
+        for (mean, weight, what) in cases {
+            let record = format!("{head};{mean}:{weight},{centroids}");
+            assert!(
+                matches!(
+                    TDigest::from_record(&record),
+                    Err(StatsError::MalformedSketch(_))
+                ),
+                "{what}: {record}"
+            );
+        }
+        // The unmodified record still decodes and accepts pushes.
+        let mut back = TDigest::from_record(&good).unwrap();
+        for x in 0..200 {
+            back.push(f64::from(x));
+        }
+        assert!(back.median().is_ok());
     }
 
     #[test]

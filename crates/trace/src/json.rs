@@ -76,9 +76,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts; deeper input is a
+/// typed error instead of a stack overflow.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -103,7 +108,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -115,8 +120,9 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => self.err("nesting too deep"),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -125,6 +131,16 @@ impl<'a> Parser<'a> {
             Some(b) => self.err(format!("unexpected byte 0x{b:02x}")),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -158,17 +174,34 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string in time linear in its length: each run of plain
+    /// bytes up to the next `"` or `\` is validated and copied once.
+    /// Both delimiters are ASCII, so a run always ends on a char boundary.
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let text = std::str::from_utf8(&rest[..run]).map_err(|e| JsonError {
+                    offset: self.pos + e.valid_up_to(),
+                    message: "invalid utf-8 in string".into(),
+                })?;
+                out.push_str(text);
+                self.pos += run;
+            }
             match self.peek() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The run stopped at a backslash: decode one escape.
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -187,14 +220,15 @@ impl<'a> Parser<'a> {
                                         message: "truncated \\u escape".into(),
                                     }
                                 })?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| JsonError {
-                                offset: self.pos,
-                                message: "invalid \\u escape".into(),
-                            })?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                                offset: self.pos,
-                                message: "invalid \\u escape".into(),
-                            })?;
+                            let code = hex
+                                .iter()
+                                .try_fold(0u32, |acc, &b| {
+                                    char::from(b).to_digit(16).map(|d| acc << 4 | d)
+                                })
+                                .ok_or_else(|| JsonError {
+                                    offset: self.pos,
+                                    message: "invalid \\u escape".into(),
+                                })?;
                             // Surrogates are not paired here; replace them.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
@@ -203,24 +237,12 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str upstream,
-                    // so boundaries are valid).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| JsonError {
-                            offset: self.pos,
-                            message: "invalid utf-8 in string".into(),
-                        })?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -244,7 +266,7 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -255,7 +277,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             let value = self.value()?;
             fields.push((key, value));
             self.skip_ws();
@@ -279,6 +301,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -389,6 +412,8 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::json_escape;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -398,6 +423,10 @@ mod tests {
         assert_eq!(
             parse("\"a\\nb\\u0041\"").unwrap(),
             JsonValue::String("a\nbA".into())
+        );
+        assert_eq!(
+            parse("\"\\u00e9\\u20AC\\u0000x\"").unwrap(),
+            JsonValue::String("é€\u{0}x".into())
         );
         let doc = parse("{\"a\": [1, {\"b\": false}], \"c\": \"x\"}").unwrap();
         assert_eq!(doc.get("c").and_then(JsonValue::as_str), Some("x"));
@@ -410,8 +439,69 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"abc", "[1]]"] {
+        let bad_escapes = ["\"\\u12G4\"", "\"\\u+123\"", "\"\\u12\"", "\"\\q\""];
+        let bad_documents = ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"abc", "[1]]"];
+        for bad in bad_documents.into_iter().chain(bad_escapes) {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn escaped_strings_round_trip(picks in prop::collection::vec(any::<u32>(), 0..48)) {
+            // Mix delimiters, escapes, control characters, multi-byte
+            // UTF-8 and arbitrary scalars so every parser branch runs.
+            const PALETTE: [char; 12] =
+                ['"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '/', 'a', 'é', '€', '😀'];
+            let text: String = picks
+                .iter()
+                .map(|&p| match p as usize % (PALETTE.len() + 1) {
+                    i if i < PALETTE.len() => PALETTE[i],
+                    _ => char::from_u32(p >> 11).unwrap_or('?'),
+                })
+                .collect();
+            let quoted = format!("\"{}\"", json_escape(&text));
+            prop_assert_eq!(parse(&quoted), Ok(JsonValue::String(text.clone())));
+            let doc = format!("{{{quoted}:[{quoted}]}}");
+            let expected = JsonValue::Object(vec![(
+                text.clone(),
+                JsonValue::Array(vec![JsonValue::String(text)]),
+            )]);
+            prop_assert_eq!(parse(&doc), Ok(expected));
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error() {
+        let doc = "{\"name\":\"é \\\"q\\\" \\u00e9 😀\",\"xs\":[1,-2.5e3,true,null,\
+                   {\"k\":false,\"s\":\"\\\\\\n\"}],\"e\":{}}";
+        assert!(parse(doc).is_ok());
+        for end in (0..doc.len()).filter(|&end| doc.is_char_boundary(end)) {
+            match parse(&doc[..end]) {
+                Err(JsonError { offset, .. }) => assert!(offset <= end, "{end}: offset {offset}"),
+                Ok(v) => panic!("prefix of {end} bytes parsed as {v:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn library_code_has_no_unwrap_or_expect() {
+        let source = include_str!("json.rs");
+        let library = source.split("#[cfg(test)]").next().unwrap_or(source);
+        for needle in [".unwrap()", ".expect("] {
+            assert!(!library.contains(needle), "non-test json.rs uses {needle}");
         }
     }
 
