@@ -4,7 +4,7 @@
 //! collection" claim, quantified.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use scibench::experiment::campaign::{run_campaign, run_campaign_traced, CampaignConfig};
+use scibench::experiment::campaign::{run_campaign, run_campaign_scoped_traced, CampaignConfig};
 use scibench::experiment::design::{Design, Factor, RunPoint};
 use scibench::experiment::measurement::{MeasurementPlan, StoppingRule};
 use scibench_sim::rng::SimRng;
@@ -129,12 +129,13 @@ fn assert_tracing_unperturbed() {
     let plain = run_campaign(&trace_design(), &trace_plan(), &config, trace_measure)
         .expect("untraced campaign");
     let tracer = Tracer::new();
-    let traced = run_campaign_traced(
+    let traced = run_campaign_scoped_traced(
         &trace_design(),
         &trace_plan(),
         &config,
         Some(&tracer),
-        trace_measure,
+        || (),
+        |(), point, rng| trace_measure(point, rng),
     )
     .expect("traced campaign");
     assert_eq!(
@@ -174,12 +175,13 @@ fn bench_tracing(c: &mut Criterion) {
         };
         b.iter(|| {
             let tracer = Tracer::new();
-            let r = run_campaign_traced(
+            let r = run_campaign_scoped_traced(
                 &trace_design(),
                 &trace_plan(),
                 &config,
                 Some(&tracer),
-                trace_measure,
+                || (),
+                |(), point, rng| trace_measure(point, rng),
             )
             .unwrap();
             black_box((r, tracer.drain()))

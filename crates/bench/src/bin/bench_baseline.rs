@@ -21,8 +21,9 @@
 //! * `--quick` — tiny workloads, no file written, no thresholds (CI
 //!   smoke: proves the harness runs);
 //! * `--verify <path>` — parses an existing baseline file and checks the
-//!   schema marker and that every expected benchmark id is present with
-//!   sane numbers (CI smoke: proves the committed file stays valid).
+//!   schema marker, that every expected benchmark id is present, and that
+//!   the speedups and memory ratios recomputed from its raw numbers agree
+//!   with the recorded ones and meet the targets in the tables below.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -50,49 +51,66 @@ use scibench_stats::dist::normal::std_normal_inv_cdf;
 use scibench_stats::quantile::{quantile, FiveNumberSummary, QuantileMethod};
 use scibench_stats::sketch::{MergeableSummary, StreamConfig, StreamingSummary};
 use scibench_stats::sorted::SortedSamples;
+use scibench_trace::{parse_json, JsonValue};
 
 const SCHEMA: &str = "scibench-bench-baseline/v1";
 const SCHEMA_SIM: &str = "scibench-bench-baseline-sim/v1";
 const SCHEMA_STREAM: &str = "scibench-bench-baseline-stream/v1";
 
 /// Benchmark ids every baseline file must contain, with their targets
-/// (`None` = informational, no threshold).
-const EXPECTED: &[(&str, Option<f64>)] = &[
-    ("campaign_adaptive_4threads", Some(3.0)),
-    ("bootstrap_median_ci_10k", Some(5.0)),
-    ("bootstrap_mean_ci_10k", None),
-    ("sorted_quantile_queries_100k", None),
+/// `(id, minimum speedup, minimum memory ratio)` (`None` = informational,
+/// no threshold).
+type Expected = (&'static str, Option<f64>, Option<f64>);
+
+const EXPECTED: &[Expected] = &[
+    ("campaign_adaptive_4threads", Some(3.0), None),
+    ("bootstrap_median_ci_10k", Some(5.0), None),
+    ("bootstrap_mean_ci_10k", None, None),
+    ("sorted_quantile_queries_100k", None, None),
 ];
 
 /// Benchmark ids of the simulator baseline (`BENCH_sim.json`).
-const EXPECTED_SIM: &[(&str, Option<f64>)] = &[
-    ("fig5_reduce_pipeline", Some(3.0)),
-    ("sim_reduce_replay_128", Some(5.0)),
-    ("sim_barrier_replay_64", None),
+const EXPECTED_SIM: &[Expected] = &[
+    ("fig5_reduce_pipeline", Some(3.0), None),
+    ("sim_reduce_replay_128", Some(5.0), None),
+    ("sim_barrier_replay_64", None, None),
 ];
 
 /// Benchmark ids of the streaming baseline (`BENCH_stream.json`). The
 /// gate on these pairs is the *memory* ratio (vector-mode resident bytes
 /// over sketch-mode resident bytes), not wall clock — streaming trades a
 /// constant per-sample cost for O(sketch) memory.
-const EXPECTED_STREAM: &[(&str, Option<f64>)] = &[
-    ("stream_campaign_1m_samples", None),
-    ("tdigest_quantiles_1m", None),
+const EXPECTED_STREAM: &[Expected] = &[
+    ("stream_campaign_1m_samples", None, Some(50.0)),
+    ("tdigest_quantiles_1m", None, Some(50.0)),
 ];
+
+/// The target table of a baseline schema.
+fn expected_for(schema: &str) -> Option<&'static [Expected]> {
+    match schema {
+        SCHEMA => Some(EXPECTED),
+        SCHEMA_SIM => Some(EXPECTED_SIM),
+        SCHEMA_STREAM => Some(EXPECTED_STREAM),
+        _ => None,
+    }
+}
+
+/// `(speedup target, memory-ratio target)` of one benchmark id.
+fn targets(schema: &str, id: &str) -> (Option<f64>, Option<f64>) {
+    expected_for(schema)
+        .and_then(|table| table.iter().find(|e| e.0 == id))
+        .map_or((None, None), |&(_, speedup, mem)| (speedup, mem))
+}
 
 #[derive(Default)]
 struct BenchResult {
     id: &'static str,
     old_ns: u128,
     new_ns: u128,
-    target: Option<f64>,
     /// Resident bytes of the pre-change (vector) side, for memory pairs.
     old_bytes: Option<usize>,
     /// Resident bytes of the streaming side, for memory pairs.
     new_bytes: Option<usize>,
-    /// Minimum acceptable `old_bytes / new_bytes`, enforced like a
-    /// speedup target.
-    target_mem_ratio: Option<f64>,
 }
 
 impl BenchResult {
@@ -214,17 +232,18 @@ fn report_and_write(
         "benchmark", "old", "new", "speedup"
     );
     for r in &results {
+        let (target, target_mem_ratio) = targets(schema, r.id);
         println!(
             "{:<32} {:>12} {:>12} {:>8.2}x{}{}",
             r.id,
             pretty_ns(r.old_ns),
             pretty_ns(r.new_ns),
             r.speedup(),
-            match r.target {
+            match target {
                 Some(t) => format!("  (target {t:.0}x)"),
                 None => String::new(),
             },
-            match (r.mem_ratio(), r.target_mem_ratio) {
+            match (r.mem_ratio(), target_mem_ratio) {
                 (Some(m), Some(t)) => format!("  mem {m:.0}x (target {t:.0}x)"),
                 (Some(m), None) => format!("  mem {m:.0}x"),
                 _ => String::new(),
@@ -237,41 +256,13 @@ fn report_and_write(
         return ExitCode::SUCCESS;
     }
 
-    let mut failed = false;
-    for r in &results {
-        if let Some(target) = r.target {
-            if r.speedup() < target {
-                eprintln!(
-                    "bench_baseline: {} reached {:.2}x, below the {target:.0}x target",
-                    r.id,
-                    r.speedup()
-                );
-                failed = true;
-            }
-        }
-        if let Some(target) = r.target_mem_ratio {
-            match r.mem_ratio() {
-                Some(ratio) if ratio >= target => {}
-                Some(ratio) => {
-                    eprintln!(
-                        "bench_baseline: {} memory ratio {ratio:.1}x below the \
-                         {target:.0}x target",
-                        r.id
-                    );
-                    failed = true;
-                }
-                None => {
-                    eprintln!("bench_baseline: {} is missing byte accounting", r.id);
-                    failed = true;
-                }
-            }
-        }
-    }
-    if failed {
+    // The file is written only if it passes the gate that `--verify`
+    // applies to it later.
+    let json = render_json(&results, schema);
+    if let Err(e) = verify_text(&json) {
+        eprintln!("bench_baseline: {e}");
         return ExitCode::FAILURE;
     }
-
-    let json = render_json(&results, schema);
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("bench_baseline: writing {path}: {e}");
         return ExitCode::FAILURE;
@@ -437,7 +428,6 @@ fn bench_campaign(quick: bool) -> Result<BenchResult, String> {
         id: "campaign_adaptive_4threads",
         old_ns,
         new_ns,
-        target: Some(3.0),
         ..BenchResult::default()
     })
 }
@@ -506,7 +496,6 @@ fn bench_bootstrap_median(quick: bool) -> Result<BenchResult, String> {
         id: "bootstrap_median_ci_10k",
         old_ns,
         new_ns,
-        target: Some(5.0),
         ..BenchResult::default()
     })
 }
@@ -552,7 +541,6 @@ fn bench_bootstrap_mean(quick: bool) -> Result<BenchResult, String> {
         id: "bootstrap_mean_ci_10k",
         old_ns,
         new_ns,
-        target: None,
         ..BenchResult::default()
     })
 }
@@ -600,7 +588,6 @@ fn bench_sorted_quantiles(quick: bool) -> Result<BenchResult, String> {
         id: "sorted_quantile_queries_100k",
         old_ns,
         new_ns,
-        target: None,
         ..BenchResult::default()
     })
 }
@@ -793,7 +780,6 @@ fn bench_fig5_pipeline(quick: bool) -> Result<BenchResult, String> {
         id: "fig5_reduce_pipeline",
         old_ns,
         new_ns,
-        target: Some(3.0),
         ..BenchResult::default()
     })
 }
@@ -834,7 +820,6 @@ fn bench_reduce_replay(quick: bool) -> Result<BenchResult, String> {
         id: "sim_reduce_replay_128",
         old_ns,
         new_ns,
-        target: Some(5.0),
         ..BenchResult::default()
     })
 }
@@ -875,7 +860,6 @@ fn bench_barrier_replay(quick: bool) -> Result<BenchResult, String> {
         id: "sim_barrier_replay_64",
         old_ns,
         new_ns,
-        target: None,
         ..BenchResult::default()
     })
 }
@@ -964,10 +948,8 @@ fn bench_stream_campaign(quick: bool) -> Result<BenchResult, String> {
         id: "stream_campaign_1m_samples",
         old_ns,
         new_ns,
-        target: None,
         old_bytes: Some(old_bytes),
         new_bytes: Some(new_bytes),
-        target_mem_ratio: Some(50.0),
     })
 }
 
@@ -1052,15 +1034,13 @@ fn bench_tdigest_quantiles(quick: bool) -> Result<BenchResult, String> {
         id: "tdigest_quantiles_1m",
         old_ns,
         new_ns,
-        target: None,
         old_bytes: Some(xs.len() * std::mem::size_of::<f64>()),
         new_bytes: Some(summary.resident_bytes()),
-        target_mem_ratio: Some(50.0),
     })
 }
 
 // ---------------------------------------------------------------------
-// JSON emission and verification (hand-rolled: no JSON dependency).
+// JSON emission and verification (parsed with the trace crate's codec).
 // ---------------------------------------------------------------------
 
 fn render_json(results: &[BenchResult], schema: &str) -> String {
@@ -1069,6 +1049,7 @@ fn render_json(results: &[BenchResult], schema: &str) -> String {
     let _ = writeln!(out, "  \"schema\": \"{schema}\",");
     out.push_str("  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
+        let (target, target_mem_ratio) = targets(schema, r.id);
         out.push_str("    {\n");
         let mut fields = vec![
             format!("      \"id\": \"{}\"", r.id),
@@ -1076,7 +1057,7 @@ fn render_json(results: &[BenchResult], schema: &str) -> String {
             format!("      \"new_ns\": {}", r.new_ns),
             format!("      \"speedup\": {:.2}", r.speedup()),
         ];
-        if let Some(t) = r.target {
+        if let Some(t) = target {
             fields.push(format!("      \"target_speedup\": {t:.1}"));
         }
         if let (Some(old), Some(new)) = (r.old_bytes, r.new_bytes) {
@@ -1086,7 +1067,7 @@ fn render_json(results: &[BenchResult], schema: &str) -> String {
                 fields.push(format!("      \"mem_ratio\": {ratio:.2}"));
             }
         }
-        if let Some(t) = r.target_mem_ratio {
+        if let Some(t) = target_mem_ratio {
             fields.push(format!("      \"target_mem_ratio\": {t:.1}"));
         }
         out.push_str(&fields.join(",\n"));
@@ -1101,71 +1082,154 @@ fn render_json(results: &[BenchResult], schema: &str) -> String {
     out
 }
 
-/// Extracts the number following `"key":` in `obj`, if present.
-fn field_number(obj: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = obj.find(&marker)? + marker.len();
-    let rest = obj[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn verify(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading: {e}"))?;
-    // Dispatch on the schema marker: one binary verifies both the stats
-    // and the simulator baseline files.
-    let expected: &[(&str, Option<f64>)] =
-        if text.contains(&format!("\"schema\": \"{SCHEMA_SIM}\"")) {
-            EXPECTED_SIM
-        } else if text.contains(&format!("\"schema\": \"{SCHEMA_STREAM}\"")) {
-            EXPECTED_STREAM
-        } else if text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-            EXPECTED
-        } else {
+    verify_text(&text)
+}
+
+/// Checks a baseline file against the target table its schema selects.
+/// Every ratio is recomputed from the raw timings and byte counts, the
+/// recorded ratios must agree with them, and the targets come from the
+/// tables above — never from the file being checked.
+fn verify_text(text: &str) -> Result<String, String> {
+    let doc = parse_json(text).map_err(|e| format!("parsing: {e}"))?;
+    let schema = doc
+        .get("schema")
+        .and_then(JsonValue::as_str)
+        .ok_or("schema marker missing")?;
+    let expected = match schema {
+        SCHEMA => EXPECTED,
+        SCHEMA_SIM => EXPECTED_SIM,
+        SCHEMA_STREAM => EXPECTED_STREAM,
+        other => {
             return Err(format!(
-                "no known schema marker ({SCHEMA:?}, {SCHEMA_SIM:?} or {SCHEMA_STREAM:?}) found"
-            ));
-        };
+            "unknown schema {other:?} (expected {SCHEMA:?}, {SCHEMA_SIM:?} or {SCHEMA_STREAM:?})"
+        ))
+        }
+    };
+    let benches = doc
+        .get("benches")
+        .and_then(JsonValue::as_array)
+        .ok_or("benches array missing")?;
     let mut report = String::from("baseline OK:\n");
-    for (id, target) in expected {
-        let marker = format!("\"id\": \"{id}\"");
-        let at = text
-            .find(&marker)
+    for &(id, target_speedup, target_mem_ratio) in expected {
+        let entry = benches
+            .iter()
+            .find(|b| b.get("id").and_then(JsonValue::as_str) == Some(id))
             .ok_or_else(|| format!("bench id {id:?} missing"))?;
-        // The entry's fields live between this id and the next object.
-        let entry = &text[at..text[at..].find('}').map_or(text.len(), |e| at + e)];
-        let old_ns =
-            field_number(entry, "old_ns").ok_or_else(|| format!("{id}: old_ns missing"))?;
-        let new_ns =
-            field_number(entry, "new_ns").ok_or_else(|| format!("{id}: new_ns missing"))?;
-        let speedup =
-            field_number(entry, "speedup").ok_or_else(|| format!("{id}: speedup missing"))?;
-        if !(old_ns > 0.0 && new_ns > 0.0 && speedup > 0.0) {
-            return Err(format!("{id}: non-positive timings"));
-        }
-        if let Some(t) = target {
-            if speedup < *t {
-                return Err(format!(
-                    "{id}: recorded speedup {speedup:.2}x below target {t:.0}x"
-                ));
+        let field = |key: &str| entry.get(key).and_then(JsonValue::as_f64);
+        let number = |key: &str| field(key).ok_or_else(|| format!("{id}: {key} missing"));
+        let speedup = checked_ratio(
+            id,
+            "speedup",
+            number("old_ns")?,
+            number("new_ns")?,
+            Some(number("speedup")?),
+        )?;
+        if let Some(t) = target_speedup {
+            if speedup < t {
+                return Err(format!("{id}: speedup {speedup:.2}x below target {t:.0}x"));
             }
         }
-        // Memory pairs are gated by their recorded ratio, same as
-        // speedup targets.
-        if let Some(target) = field_number(entry, "target_mem_ratio") {
-            let ratio = field_number(entry, "mem_ratio")
-                .ok_or_else(|| format!("{id}: mem_ratio missing"))?;
-            if ratio < target {
-                return Err(format!(
-                    "{id}: recorded memory ratio {ratio:.1}x below target {target:.0}x"
-                ));
+        match target_mem_ratio {
+            Some(t) => {
+                let ratio = checked_ratio(
+                    id,
+                    "mem_ratio",
+                    number("old_bytes")?,
+                    number("new_bytes")?,
+                    field("mem_ratio"),
+                )?;
+                if ratio < t {
+                    return Err(format!(
+                        "{id}: memory ratio {ratio:.1}x below target {t:.0}x"
+                    ));
+                }
+                let _ = writeln!(report, "  {id}: {speedup:.2}x, mem {ratio:.0}x");
             }
-            let _ = writeln!(report, "  {id}: {speedup:.2}x, mem {ratio:.0}x");
-        } else {
-            let _ = writeln!(report, "  {id}: {speedup:.2}x");
+            None => {
+                let _ = writeln!(report, "  {id}: {speedup:.2}x");
+            }
         }
     }
     Ok(report.trim_end().to_string())
+}
+
+/// `old / new`, rejecting non-positive inputs and a recorded value that
+/// disagrees with the recomputed one beyond its two-decimal rounding.
+fn checked_ratio(
+    id: &str,
+    name: &str,
+    old: f64,
+    new: f64,
+    recorded: Option<f64>,
+) -> Result<f64, String> {
+    if !(old > 0.0 && new > 0.0) {
+        return Err(format!("{id}: non-positive inputs to {name}"));
+    }
+    let ratio = old / new;
+    if let Some(r) = recorded {
+        if (r - ratio).abs() > 0.005 + 1e-9 * ratio {
+            return Err(format!(
+                "{id}: recorded {name} {r} disagrees with {ratio:.4} recomputed from the raw numbers"
+            ));
+        }
+    }
+    Ok(ratio)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const STATS: &str = include_str!("../../../../BENCH_stats.json");
+    const SIM: &str = include_str!("../../../../BENCH_sim.json");
+    const STREAM: &str = include_str!("../../../../BENCH_stream.json");
+
+    #[test]
+    fn committed_baselines_pass() {
+        for text in [STATS, SIM, STREAM] {
+            verify_text(text).unwrap();
+        }
+    }
+
+    #[test]
+    fn memory_gate_does_not_depend_on_the_recorded_target() {
+        // Deleting the file's own target leaves the gate on...
+        let untargeted = STREAM.replace(",\n      \"target_mem_ratio\": 50.0", "");
+        assert!(!untargeted.contains("target_mem_ratio"));
+        verify_text(&untargeted).unwrap();
+        // ...so a ratio below the 50x target still fails.
+        let bloated = untargeted
+            .replace("\"new_bytes\": 92384", "\"new_bytes\": 920000")
+            .replace(",\n      \"mem_ratio\": 346.38", "");
+        assert!(verify_text(&bloated).unwrap_err().contains("below target"));
+        let no_bytes = untargeted.replace("\"new_bytes\": 92384,", "");
+        assert!(verify_text(&no_bytes)
+            .unwrap_err()
+            .contains("new_bytes missing"));
+    }
+
+    #[test]
+    fn inconsistent_recorded_ratios_are_rejected() {
+        let inflated = STATS.replace("\"speedup\": 6.26", "\"speedup\": 9.99");
+        assert!(verify_text(&inflated).unwrap_err().contains("disagrees"));
+        let inflated = STREAM.replace("\"mem_ratio\": 346.38", "\"mem_ratio\": 999.0");
+        assert!(verify_text(&inflated).unwrap_err().contains("disagrees"));
+        // A slower recorded new side fails the recomputed speedup gate.
+        let slow = STATS
+            .replace("\"new_ns\": 235568830", "\"new_ns\": 735568830")
+            .replace("\"speedup\": 6.26", "\"speedup\": 2.00");
+        assert!(verify_text(&slow).unwrap_err().contains("below target"));
+    }
+
+    #[test]
+    fn truncated_files_are_rejected() {
+        for text in [STATS, SIM, STREAM] {
+            let body = text.trim_end();
+            for cut in 0..body.len() {
+                assert!(verify_text(&body[..cut]).is_err(), "cut at {cut}");
+            }
+        }
+    }
 }

@@ -15,7 +15,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use scibench::experiment::campaign::{run_campaign, run_campaign_traced, CampaignConfig};
+use scibench::experiment::campaign::{run_campaign, run_campaign_scoped_traced, CampaignConfig};
 use scibench::experiment::design::{Design, Factor, RunPoint};
 use scibench::experiment::measurement::{MeasurementPlan, StoppingRule};
 use scibench_sim::rng::SimRng;
@@ -69,8 +69,15 @@ fn campaign_at(
         .warmup(3)
         .stopping(StoppingRule::FixedCount(40));
     let config = CampaignConfig { seed: 77, threads };
-    run_campaign_traced(&design, &plan, &config, tracer, measure)
-        .map_err(|e| format!("traced campaign at {threads} threads: {e}"))
+    run_campaign_scoped_traced(
+        &design,
+        &plan,
+        &config,
+        tracer,
+        || (),
+        |(), point, rng| measure(point, rng),
+    )
+    .map_err(|e| format!("traced campaign at {threads} threads: {e}"))
 }
 
 /// Runs one traced campaign, returning its result and drained trace.

@@ -103,65 +103,35 @@ pub fn run_campaign<F>(
 where
     F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
 {
-    run_campaign_traced(design, plan, config, None, measure)
-}
-
-/// [`run_campaign`] with optional tracing.
-///
-/// When `tracer` is `Some`, each design point records on its own lane
-/// ([`obs::campaign_lane`]): one [`category::CAMPAIGN`] span covering
-/// the point's whole measurement (with its design index, sample count,
-/// convergence flag and factor levels as arguments) and one sample-count
-/// counter — both deterministic for a fixed seed and design. Tracing
-/// never touches the RNG streams or the measured values, so the result
-/// is bit-identical to the untraced run at any thread count.
-pub fn run_campaign_traced<F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    tracer: Option<&Tracer>,
-    measure: F,
-) -> StatsResult<CampaignResult>
-where
-    F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
-{
     run_campaign_scoped_traced(
         design,
         plan,
         config,
-        tracer,
+        None,
         || (),
         |(), point, rng| measure(point, rng),
     )
 }
 
-/// [`run_campaign`] with a per-worker scratch state.
+/// [`run_campaign`] with optional tracing and a per-worker scratch state.
 ///
-/// `init` builds one private scratch value per pool lane (see
-/// [`pool::run_indexed_scoped`]); `measure` receives `&mut S` alongside
-/// the point and its stream. This lets hot measurement loops reuse
-/// per-lane arenas — e.g. a compiled-schedule replay context — with no
-/// cross-thread sharing and no per-sample allocation. Results stay
+/// **Scratch contract.** `init` builds one private scratch value per pool
+/// lane (see [`pool::run_indexed_scoped_traced`]); `measure` receives
+/// `&mut S` alongside the point and its stream. This lets hot measurement
+/// loops reuse per-lane arenas — e.g. a compiled-schedule replay context —
+/// with no cross-thread sharing and no per-sample allocation. Results stay
 /// bit-identical to [`run_campaign`] at any thread count as long as the
 /// measured values do not depend on scratch contents carried across
-/// points.
-pub fn run_campaign_scoped<S, I, F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    init: I,
-    measure: F,
-) -> StatsResult<CampaignResult>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> f64 + Sync,
-{
-    run_campaign_scoped_traced(design, plan, config, None, init, measure)
-}
-
-/// [`run_campaign_scoped`] with optional tracing (same event contract as
-/// [`run_campaign_traced`]).
+/// points. Pass `|| ()` when no scratch is needed.
+///
+/// **Event contract.** When `tracer` is `Some`, each design point records
+/// on its own lane ([`obs::campaign_lane`]): one [`category::CAMPAIGN`]
+/// span covering the point's whole measurement (with its design index,
+/// sample count, convergence flag and factor levels as arguments) and one
+/// sample-count counter — both deterministic for a fixed seed and design
+/// — plus the pool's task events. Tracing never touches the RNG streams
+/// or the measured values, so the result is bit-identical to the
+/// untraced run at any thread count.
 pub fn run_campaign_scoped_traced<S, I, F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -179,80 +149,108 @@ where
     if points.is_empty() {
         return Err(StatsError::EmptySample);
     }
-    let threads = config.threads.clamp(1, points.len());
-
-    // Execution order is randomized (§4.1.1) but the point index that
-    // seeds each stream is the *design* index, so results do not depend
-    // on the shuffled order.
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    let mut order_rng = SimRng::new(config.seed).fork("campaign-order");
-    order_rng.shuffle(&mut order);
-
-    let root = SimRng::new(config.seed);
-    let run_one = |scratch: &mut S, design_idx: usize| -> StatsResult<CampaignRun> {
-        let point = &points[design_idx];
-        let mut lane = lane_of(tracer, obs::campaign_lane(design_idx));
-        let span = lane.begin();
-        let mut rng = root.fork_indexed("campaign-point", design_idx as u64);
-        let outcome = plan.run(|| measure(scratch, point, &mut rng));
-        if lane.is_on() {
-            match &outcome {
-                Ok(out) => {
-                    lane.counter(category::CAMPAIGN, "samples", out.samples.len() as f64);
-                    lane.end(
-                        span,
-                        category::CAMPAIGN,
-                        "point",
-                        &[
-                            ("index", ArgValue::U64(design_idx as u64)),
-                            ("samples", ArgValue::U64(out.samples.len() as u64)),
-                            ("converged", ArgValue::Bool(out.converged)),
-                            ("label", ArgValue::Str(point.levels.join("/"))),
-                        ],
-                    );
-                }
-                Err(e) => {
-                    lane.end(
-                        span,
-                        category::CAMPAIGN,
-                        "point",
-                        &[
-                            ("index", ArgValue::U64(design_idx as u64)),
-                            ("failed", ArgValue::Bool(true)),
-                            ("error", ArgValue::Str(e.to_string())),
-                        ],
-                    );
+    let all: Vec<usize> = (0..points.len()).collect();
+    let (runs, _) = run_points(
+        config,
+        &all,
+        tracer,
+        init,
+        |scratch, design_idx, mut rng| {
+            let point = &points[design_idx];
+            let mut lane = lane_of(tracer, obs::campaign_lane(design_idx));
+            let span = lane.begin();
+            let outcome = plan.run(|| measure(scratch, point, &mut rng));
+            if lane.is_on() {
+                match &outcome {
+                    Ok(out) => {
+                        lane.counter(category::CAMPAIGN, "samples", out.samples.len() as f64);
+                        lane.end(
+                            span,
+                            category::CAMPAIGN,
+                            "point",
+                            &[
+                                ("index", ArgValue::U64(design_idx as u64)),
+                                ("samples", ArgValue::U64(out.samples.len() as u64)),
+                                ("converged", ArgValue::Bool(out.converged)),
+                                ("label", ArgValue::Str(point.levels.join("/"))),
+                            ],
+                        );
+                    }
+                    Err(e) => {
+                        lane.end(
+                            span,
+                            category::CAMPAIGN,
+                            "point",
+                            &[
+                                ("index", ArgValue::U64(design_idx as u64)),
+                                ("failed", ArgValue::Bool(true)),
+                                ("error", ArgValue::Str(e.to_string())),
+                            ],
+                        );
+                    }
                 }
             }
-        }
-        Ok(CampaignRun {
-            point: point.clone(),
-            outcome: outcome?,
-        })
-    };
-
-    // The pool executes positions of the shuffled order; un-shuffle the
-    // outputs back into design order before resolving outcomes, so error
-    // and panic precedence is by design index, not by execution order.
-    let positioned =
-        pool::run_indexed_scoped_traced(order.len(), threads, tracer, init, |scratch, pos| {
-            run_one(scratch, order[pos])
-        });
-    let mut by_design: Vec<Option<std::thread::Result<StatsResult<CampaignRun>>>> =
-        (0..points.len()).map(|_| None).collect();
-    for (pos, result) in positioned.into_iter().enumerate() {
-        by_design[order[pos]] = Some(result);
-    }
-
-    let mut runs = Vec::with_capacity(points.len());
-    for slot in by_design {
-        match slot.expect("every design point executed") {
-            Ok(Ok(run)) => runs.push(run),
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
+            Ok(CampaignRun {
+                point: point.clone(),
+                outcome: outcome?,
+            })
+        },
+    )?;
     Ok(CampaignResult { runs })
+}
+
+/// The point-execution skeleton behind every campaign runner: runs the
+/// design points `indices` on the work-stealing pool and returns their
+/// results in `indices` order, plus every lane's scratch value (see
+/// [`pool::run_indexed_collect_scoped`]).
+///
+/// Execution order is randomized (§4.1.1) by a shuffle keyed on the
+/// campaign seed, but each task receives the RNG stream forked from
+/// `(seed, design index)` — so order (and thread count) affects
+/// scheduling only, never output bits, and any subset of a design runs
+/// exactly the points the full campaign would. All tasks run to
+/// completion; afterwards the first failure *in `indices` order* is
+/// resolved: an error is returned, a panic is re-raised.
+pub(crate) fn run_points<S, R, E, I, F>(
+    config: &CampaignConfig,
+    indices: &[usize],
+    tracer: Option<&Tracer>,
+    init: I,
+    task: F,
+) -> Result<(Vec<R>, Vec<S>), E>
+where
+    S: Send,
+    R: Send + Sync,
+    E: Send + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, SimRng) -> Result<R, E> + Sync,
+{
+    let mut order: Vec<usize> = (0..indices.len()).collect();
+    SimRng::new(config.seed)
+        .fork("campaign-order")
+        .shuffle(&mut order);
+    let root = SimRng::new(config.seed);
+    let (positioned, lanes) = pool::run_indexed_collect_scoped(
+        order.len(),
+        config.threads,
+        tracer,
+        init,
+        |scratch, pos| {
+            let design_idx = indices[order[pos]];
+            task(
+                scratch,
+                design_idx,
+                root.fork_indexed("campaign-point", design_idx as u64),
+            )
+        },
+    );
+    let mut results: Vec<_> = order.into_iter().zip(positioned).collect();
+    results.sort_unstable_by_key(|&(at, _)| at);
+    let results = results
+        .into_iter()
+        .map(|(_, result)| result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect::<Result<Vec<R>, E>>()?;
+    Ok((results, lanes))
 }
 
 #[cfg(test)]
@@ -439,12 +437,13 @@ mod tests {
         let plain = run_campaign(&demo_design(), &plan, &config, demo_measure).unwrap();
         for threads in [1, 2, 8] {
             let tracer = Tracer::new();
-            let traced = run_campaign_traced(
+            let traced = run_campaign_scoped_traced(
                 &demo_design(),
                 &plan,
                 &CampaignConfig { seed: 9, threads },
                 Some(&tracer),
-                demo_measure,
+                || (),
+                |(), point, rng| demo_measure(point, rng),
             )
             .unwrap();
             assert_eq!(plain, traced, "threads={threads}");
@@ -461,12 +460,13 @@ mod tests {
         let plan = MeasurementPlan::new("op").stopping(StoppingRule::FixedCount(8));
         let counts_for = |threads: usize| {
             let tracer = Tracer::new();
-            run_campaign_traced(
+            run_campaign_scoped_traced(
                 &demo_design(),
                 &plan,
                 &CampaignConfig { seed: 11, threads },
                 Some(&tracer),
-                demo_measure,
+                || (),
+                |(), point, rng| demo_measure(point, rng),
             )
             .unwrap();
             tracer.drain().deterministic_counts()
@@ -492,10 +492,11 @@ mod tests {
         )
         .unwrap();
         for threads in [1, 2, 8] {
-            let scoped = run_campaign_scoped(
+            let scoped = run_campaign_scoped_traced(
                 &demo_design(),
                 &plan,
                 &CampaignConfig { seed: 13, threads },
+                None,
                 || Vec::<f64>::with_capacity(16),
                 |arena, point, rng| {
                     // The arena is reused across samples and points but
@@ -507,6 +508,24 @@ mod tests {
             )
             .unwrap();
             assert_eq!(plain, scoped, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn engine_library_code_has_no_unwrap_expect_or_panic() {
+        // The campaign core and every runner on it report failures as
+        // typed errors; contained panics are re-raised, never created.
+        for (file, source) in [
+            ("campaign.rs", include_str!("campaign.rs")),
+            ("resilience.rs", include_str!("resilience.rs")),
+            ("stream.rs", include_str!("stream.rs")),
+            ("measurement.rs", include_str!("measurement.rs")),
+            ("pool.rs", include_str!("../parallel/pool.rs")),
+        ] {
+            let library = source.split("#[cfg(test)]").next().unwrap_or(source);
+            for needle in [".unwrap()", ".expect(", "panic!("] {
+                assert!(!library.contains(needle), "non-test {file} uses {needle}");
+            }
         }
     }
 

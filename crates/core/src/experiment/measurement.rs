@@ -61,144 +61,9 @@ pub enum StoppingRule {
     },
 }
 
-/// A plan for measuring one operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeasurementPlan {
-    /// Name of the measured operation (for reports).
-    pub name: String,
-    /// Iterations discarded before recording (§4.1.2: "the first
-    /// measurement iteration should be excluded").
-    pub warmup_iterations: usize,
-    /// The stopping rule.
-    pub stopping: StoppingRule,
-}
-
-impl MeasurementPlan {
-    /// Creates a plan with no warmup and a default fixed count of 30.
-    pub fn new(name: &str) -> Self {
-        Self {
-            name: name.to_owned(),
-            warmup_iterations: 0,
-            stopping: StoppingRule::FixedCount(30),
-        }
-    }
-
-    /// Sets the warmup iteration count.
-    pub fn warmup(mut self, iterations: usize) -> Self {
-        self.warmup_iterations = iterations;
-        self
-    }
-
-    /// Sets the stopping rule.
-    pub fn stopping(mut self, rule: StoppingRule) -> Self {
-        self.stopping = rule;
-        self
-    }
-
-    /// Runs the plan: `operation` is invoked repeatedly and must return
-    /// the measured cost of one execution (seconds, nanoseconds — any
-    /// consistent cost unit).
-    pub fn run(&self, mut operation: impl FnMut() -> f64) -> StatsResult<MeasurementOutcome> {
-        self.validate()?;
-        // Warmup: execute and discard.
-        let mut warmup = Vec::with_capacity(self.warmup_iterations);
-        for _ in 0..self.warmup_iterations {
-            warmup.push(operation());
-        }
-
-        let mut samples = Vec::new();
-        let converged = match self.stopping {
-            StoppingRule::FixedCount(n) => {
-                samples.reserve(n);
-                for _ in 0..n {
-                    samples.push(operation());
-                }
-                true
-            }
-            StoppingRule::AdaptiveMeanCi {
-                confidence,
-                rel_error,
-                batch,
-                max_samples,
-            } => {
-                let mut converged = false;
-                // Running Welford moments make each replanning round O(1)
-                // instead of re-scanning the whole sample vector, so the
-                // loop is O(n) total rather than O(n²/batch).
-                let mut moments = OnlineMoments::new();
-                // Pilot batch (at least 5 to make the t-quantile sane).
-                let pilot = batch.max(5);
-                for _ in 0..pilot.min(max_samples) {
-                    let x = operation();
-                    moments.push(x);
-                    samples.push(x);
-                }
-                while samples.len() < max_samples {
-                    let required =
-                        ci::required_samples_from_moments(&moments, confidence, rel_error)?;
-                    if required <= samples.len() {
-                        converged = true;
-                        break;
-                    }
-                    let next = required.min(max_samples).min(samples.len() + batch.max(1));
-                    while samples.len() < next {
-                        let x = operation();
-                        moments.push(x);
-                        samples.push(x);
-                    }
-                }
-                // Final check if we filled up to a boundary.
-                if !converged {
-                    converged = ci::required_samples_from_moments(&moments, confidence, rel_error)?
-                        <= samples.len();
-                }
-                converged
-            }
-            StoppingRule::AdaptiveMedianCi {
-                confidence,
-                rel_error,
-                batch,
-                max_samples,
-            } => {
-                let mut converged = false;
-                let batch = batch.max(1);
-                // Each batch is merged into a sorted cache (O(n + b) per
-                // batch) instead of re-sorting all samples at every check.
-                let mut sorted: Option<SortedSamples> = None;
-                while samples.len() < max_samples {
-                    let start = samples.len();
-                    for _ in 0..batch.min(max_samples - samples.len()) {
-                        samples.push(operation());
-                    }
-                    let fresh = &samples[start..];
-                    match sorted.as_mut() {
-                        Some(cache) => cache.merge_extend(fresh)?,
-                        None => sorted = Some(SortedSamples::new(fresh)?),
-                    }
-                    let cache = sorted.as_ref().expect("batch just merged");
-                    if let Some((_ci, tight)) =
-                        ci::nonparametric_stop_check_sorted(cache, confidence, rel_error)?
-                    {
-                        if tight {
-                            converged = true;
-                            break;
-                        }
-                    }
-                }
-                converged
-            }
-        };
-
-        Ok(MeasurementOutcome {
-            name: self.name.clone(),
-            warmup_samples: warmup,
-            samples,
-            converged,
-        })
-    }
-
-    pub(crate) fn validate(&self) -> StatsResult<()> {
-        match self.stopping {
+impl StoppingRule {
+    fn validate(self) -> StatsResult<()> {
+        match self {
             StoppingRule::FixedCount(n) => {
                 if n == 0 {
                     return Err(StatsError::InvalidParameter {
@@ -240,6 +105,202 @@ impl MeasurementPlan {
             }
         }
         Ok(())
+    }
+}
+
+/// A plan for measuring one operation.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MeasurementPlan {
+    /// Name of the measured operation (for reports).
+    pub name: String,
+    /// Iterations discarded before recording (§4.1.2: "the first
+    /// measurement iteration should be excluded").
+    pub warmup_iterations: usize,
+    /// The stopping rule.
+    pub stopping: StoppingRule,
+}
+
+impl MeasurementPlan {
+    /// Creates a plan with no warmup and a default fixed count of 30.
+    pub fn new(name: &str) -> Self {
+        Self {
+            name: name.to_owned(),
+            warmup_iterations: 0,
+            stopping: StoppingRule::FixedCount(30),
+        }
+    }
+
+    /// Sets the warmup iteration count.
+    pub fn warmup(mut self, iterations: usize) -> Self {
+        self.warmup_iterations = iterations;
+        self
+    }
+
+    /// Sets the stopping rule.
+    pub fn stopping(mut self, rule: StoppingRule) -> Self {
+        self.stopping = rule;
+        self
+    }
+
+    /// Runs the plan: `operation` is invoked repeatedly and must return
+    /// the measured cost of one execution (seconds, nanoseconds — any
+    /// consistent cost unit).
+    pub fn run(&self, operation: impl FnMut() -> f64) -> StatsResult<MeasurementOutcome> {
+        let mut sink = VecSink::default();
+        sink.warmup.reserve(self.warmup_iterations);
+        if let StoppingRule::FixedCount(n) = self.stopping {
+            sink.samples.reserve(n);
+        }
+        let converged = self.drive(&mut sink, operation)?;
+        Ok(MeasurementOutcome {
+            name: self.name.clone(),
+            warmup_samples: sink.warmup,
+            samples: sink.samples,
+            converged,
+        })
+    }
+
+    /// The stopping-rule engine behind every measurement mode: executes
+    /// the warmup, then feeds `sink` until the rule is met or its sample
+    /// ceiling is reached. Returns whether the rule converged (always
+    /// true for fixed-count plans).
+    ///
+    /// The mean rule replans with the §4.2.2 formula after a pilot batch
+    /// of at least 5 samples; the median rule checks the nonparametric
+    /// CI every `batch` samples. Two sinks observing the same sample
+    /// stream stop after the same number of calls to `operation`
+    /// whenever their checks agree bit for bit.
+    pub(crate) fn drive(
+        &self,
+        sink: &mut impl SampleSink,
+        mut operation: impl FnMut() -> f64,
+    ) -> StatsResult<bool> {
+        self.stopping.validate()?;
+        for _ in 0..self.warmup_iterations {
+            sink.warmup(operation());
+        }
+        let op = &mut operation;
+        Ok(match self.stopping {
+            StoppingRule::FixedCount(n) => {
+                fill_to(sink, op, n);
+                true
+            }
+            StoppingRule::AdaptiveMeanCi {
+                confidence,
+                rel_error,
+                batch,
+                max_samples,
+            } => {
+                // Pilot batch (at least 5 to make the t-quantile sane).
+                fill_to(sink, op, batch.max(5).min(max_samples));
+                while sink.len() < max_samples {
+                    let required = sink.required_samples(confidence, rel_error)?;
+                    if required <= sink.len() {
+                        return Ok(true);
+                    }
+                    let next = sink.len().saturating_add(batch.max(1));
+                    fill_to(sink, op, required.min(max_samples).min(next));
+                }
+                // Final check if we filled up to the ceiling.
+                sink.required_samples(confidence, rel_error)? <= sink.len()
+            }
+            StoppingRule::AdaptiveMedianCi {
+                confidence,
+                rel_error,
+                batch,
+                max_samples,
+            } => {
+                let batch = batch.max(1);
+                while sink.len() < max_samples {
+                    let next = sink.len() + batch.min(max_samples - sink.len());
+                    fill_to(sink, op, next);
+                    if sink.median_tight(confidence, rel_error)? {
+                        return Ok(true);
+                    }
+                }
+                false
+            }
+        })
+    }
+}
+
+/// Where [`MeasurementPlan::drive`] puts samples, and how it asks
+/// whether the stopping rule is met: the exact sample vector of
+/// [`MeasurementPlan::run`], or the bounded-memory
+/// [`scibench_stats::sketch::StreamingSummary`] of the streaming runner.
+pub(crate) trait SampleSink {
+    /// Takes one warmup measurement (§4.1.2: excluded from statistics).
+    fn warmup(&mut self, x: f64);
+    /// Records one measurement.
+    fn push(&mut self, x: f64);
+    /// Measurements recorded so far (warmup excluded).
+    fn len(&self) -> usize;
+    /// The §4.2.2 sample count for a mean CI within `rel_error`.
+    fn required_samples(&mut self, confidence: f64, rel_error: f64) -> StatsResult<usize>;
+    /// Whether the median CI is within `rel_error` of the median; `false`
+    /// while too few samples exist for a CI.
+    fn median_tight(&mut self, confidence: f64, rel_error: f64) -> StatsResult<bool>;
+}
+
+/// Pushes measurements until `sink` holds `upto` of them.
+fn fill_to(sink: &mut impl SampleSink, operation: &mut impl FnMut() -> f64, upto: usize) {
+    for _ in sink.len()..upto {
+        sink.push(operation());
+    }
+}
+
+/// The exact sink: every sample kept in a vector. The Welford moments
+/// and the sorted cache are folded in only when a check asks for them —
+/// the same samples in the same order, so the checks are bit-identical
+/// to folding per sample, and fixed-count plans pay for neither.
+#[derive(Default)]
+struct VecSink {
+    warmup: Vec<f64>,
+    samples: Vec<f64>,
+    moments: OnlineMoments,
+    moments_len: usize,
+    sorted: Option<SortedSamples>,
+    sorted_len: usize,
+}
+
+impl SampleSink for VecSink {
+    fn warmup(&mut self, x: f64) {
+        self.warmup.push(x);
+    }
+
+    fn push(&mut self, x: f64) {
+        self.samples.push(x);
+    }
+
+    fn len(&self) -> usize {
+        self.samples.len()
+    }
+
+    fn required_samples(&mut self, confidence: f64, rel_error: f64) -> StatsResult<usize> {
+        for &x in &self.samples[self.moments_len..] {
+            self.moments.push(x);
+        }
+        self.moments_len = self.samples.len();
+        ci::required_samples_from_moments(&self.moments, confidence, rel_error)
+    }
+
+    fn median_tight(&mut self, confidence: f64, rel_error: f64) -> StatsResult<bool> {
+        // Each batch is merged into the sorted cache (O(n + b) per check)
+        // instead of re-sorting all samples.
+        let fresh = &self.samples[self.sorted_len..];
+        let cache = match self.sorted.take() {
+            Some(mut cache) => {
+                cache.merge_extend(fresh)?;
+                cache
+            }
+            None => SortedSamples::new(fresh)?,
+        };
+        self.sorted_len = self.samples.len();
+        let cache = self.sorted.insert(cache);
+        Ok(matches!(
+            ci::nonparametric_stop_check_sorted(cache, confidence, rel_error)?,
+            Some((_, true))
+        ))
     }
 }
 

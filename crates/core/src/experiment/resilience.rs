@@ -28,9 +28,11 @@
 //! scheduling.
 
 use std::cell::{Cell, RefCell};
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+
+use parking_lot::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,12 +42,13 @@ use scibench_stats::error::StatsResult;
 use scibench_trace::{category, lane_of, ArgValue, Tracer};
 
 use crate::obs;
-use crate::parallel::pool;
 
-use super::campaign::CampaignConfig;
+use super::campaign::{run_points, CampaignConfig};
 use super::design::{Design, RunPoint};
-use super::journal::PointRecord;
-use super::journal::{point_key, Journal, JournalError, JournalKey, JournalMeta, JournalSpec};
+use super::journal::{
+    point_key, Journal, JournalError, JournalKey, JournalMeta, JournalSnapshot, JournalSpec,
+    PointRecord,
+};
 use super::measurement::{MeasurementOutcome, MeasurementPlan, MeasurementSummary};
 
 /// Why one invocation of the measurement closure failed.
@@ -340,6 +343,11 @@ pub enum CampaignError {
         /// Number of points in the design.
         points: usize,
     },
+    /// A subset runner was given the same design index twice.
+    DuplicatePointIndex {
+        /// The repeated index.
+        index: usize,
+    },
     /// A streaming sketch operation failed (malformed record, mismatched
     /// sketch configuration across merge partners).
     Stats(scibench_stats::StatsError),
@@ -355,6 +363,9 @@ impl fmt::Display for CampaignError {
             CampaignError::Journal(err) => write!(f, "campaign journal error: {err}"),
             CampaignError::BadPointIndex { index, points } => {
                 write!(f, "design index {index} out of range ({points} points)")
+            }
+            CampaignError::DuplicatePointIndex { index } => {
+                write!(f, "design index {index} requested twice")
             }
             CampaignError::Stats(err) => write!(f, "streaming sketch error: {err}"),
         }
@@ -415,15 +426,15 @@ where
 
 /// [`run_campaign_resilient`] with optional tracing.
 ///
-/// When `tracer` is `Some`, each design point records on its own lane
-/// ([`obs::campaign_lane`]): a [`category::RESILIENCE`] span per point
-/// and per attempt, instants for retries (with the charged backoff),
-/// timeouts, abandonments and contained panics, a dropped-sample
-/// counter, and one [`category::FAULT`] instant per failed measurement
-/// call. All of these derive from the seeded RNG streams, so their
-/// counts are deterministic for a fixed seed; tracing itself never
-/// touches the streams, keeping results bit-identical to the untraced
-/// runner at any thread count.
+/// **Event contract.** When `tracer` is `Some`, each design point records
+/// on its own lane ([`obs::campaign_lane`]): a [`category::RESILIENCE`]
+/// span per point and per attempt, instants for retries (with the charged
+/// backoff), timeouts, abandonments and contained panics, a
+/// dropped-sample counter, and one [`category::FAULT`] instant per failed
+/// measurement call — plus the pool's task events. All of these derive
+/// from the seeded RNG streams, so their counts are deterministic for a
+/// fixed seed; tracing itself never touches the streams, keeping results
+/// bit-identical to the untraced runner at any thread count.
 pub fn run_campaign_resilient_traced<F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -435,72 +446,22 @@ pub fn run_campaign_resilient_traced<F>(
 where
     F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
 {
-    run_campaign_resilient_scoped_traced(
-        design,
-        plan,
-        config,
-        policy,
-        tracer,
-        || (),
-        |(), point, rng| measure(point, rng),
-    )
-}
-
-/// [`run_campaign_resilient`] with a per-worker scratch state (see
-/// [`crate::experiment::campaign::run_campaign_scoped`] for the scratch
-/// ownership contract).
-pub fn run_campaign_resilient_scoped<S, I, F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    policy: &RetryPolicy,
-    init: I,
-    measure: F,
-) -> Result<ResilientCampaignResult, CampaignError>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
-{
-    run_campaign_resilient_scoped_traced(design, plan, config, policy, None, init, measure)
-}
-
-/// [`run_campaign_resilient_scoped`] with optional tracing (same event
-/// contract as [`run_campaign_resilient_traced`]).
-#[allow(clippy::too_many_arguments)] // mirrors the traced + scoped variants
-pub fn run_campaign_resilient_scoped_traced<S, I, F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    config: &CampaignConfig,
-    policy: &RetryPolicy,
-    tracer: Option<&Tracer>,
-    init: I,
-    measure: F,
-) -> Result<ResilientCampaignResult, CampaignError>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
-{
     let points = design.full_factorial();
     if points.is_empty() {
         return Err(CampaignError::EmptyDesign);
     }
-    let indices: Vec<usize> = (0..points.len()).collect();
-    let executed = run_resilient_subset(
+    let all: Vec<usize> = (0..points.len()).collect();
+    finish_campaign(run_resilient_subset(
         &points,
-        &indices,
+        &all,
         plan,
         config,
         policy,
         tracer,
-        init,
-        measure,
+        &measure,
         |_| (),
         |_, _| (),
-    );
-    let runs: Vec<ResilientRun> = executed.into_iter().map(|(_, run)| run).collect();
-    finish_campaign(runs)
+    ))
 }
 
 /// Folds executed runs into the Rule-4 health disclosure.
@@ -548,57 +509,40 @@ pub(crate) fn finish_campaign(
     Ok(ResilientCampaignResult { runs, health })
 }
 
-/// The resilient execution engine over an arbitrary subset of design
-/// points: the shared core of the full-campaign, journaled and sharded
-/// runners.
-///
-/// Every point's RNG forks from `(campaign seed, design index)`, so
-/// executing any subset — in any order, on any thread count — produces
-/// exactly the runs the full campaign would produce for those indices.
-/// That property is what makes journaled resume and process sharding
-/// bit-identical to an uninterrupted single-process run.
+/// The resilient runner over a subset of design points, on the campaign
+/// core ([`run_points`]): the shared engine of the full-campaign,
+/// journaled and sharded runners. Because every point's RNG forks from
+/// `(campaign seed, design index)`, executing any subset — in any order,
+/// on any thread count — produces exactly the runs the full campaign
+/// would produce for those indices. That property is what makes
+/// journaled resume and process sharding bit-identical to an
+/// uninterrupted single-process run.
 ///
 /// `before(idx)` / `after(idx, &run)` fire on the worker thread around
 /// each point (the journal's begin/point appends); they must not panic.
-/// Returns `(design index, run)` pairs sorted by design index.
-#[allow(clippy::too_many_arguments)] // the runner family's full surface
-pub(crate) fn run_resilient_subset<S, I, F, B, A>(
+/// Returns the runs in `indices` order.
+#[allow(clippy::too_many_arguments)] // the attempt loop's knobs plus the two hooks
+fn run_resilient_subset<F, B, A>(
     points: &[RunPoint],
     indices: &[usize],
     plan: &MeasurementPlan,
     config: &CampaignConfig,
     policy: &RetryPolicy,
     tracer: Option<&Tracer>,
-    init: I,
-    measure: F,
+    measure: &F,
     before: B,
     after: A,
-) -> Vec<(usize, ResilientRun)>
+) -> Vec<ResilientRun>
 where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
+    F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
     B: Fn(usize) + Sync,
     A: Fn(usize, &ResilientRun) + Sync,
 {
-    if indices.is_empty() {
-        return Vec::new();
-    }
-    let threads = config.threads.clamp(1, indices.len());
     let max_attempts = policy.max_attempts.max(1);
     let budget = policy.point_budget_ns.unwrap_or(f64::INFINITY);
 
-    // Same randomized execution order as the strict runner (§4.1.1).
-    // Order affects scheduling only, never bits: per-point streams are
-    // pure functions of the design index.
-    let mut order: Vec<usize> = indices.to_vec();
-    let mut order_rng = SimRng::new(config.seed).fork("campaign-order");
-    order_rng.shuffle(&mut order);
-
-    let root = SimRng::new(config.seed);
-    let run_one = |scratch: &mut S, design_idx: usize| -> ResilientRun {
+    let run_one = |design_idx: usize, point_root: SimRng| -> ResilientRun {
         let point = &points[design_idx];
-        let point_root = root.fork_indexed("campaign-point", design_idx as u64);
         let elapsed = Cell::new(0.0f64);
         let mut attempts = 0usize;
         let mut panics_contained = 0usize;
@@ -630,7 +574,7 @@ where
                         overran.set(true);
                         return f64::NAN;
                     }
-                    match measure(&mut *scratch, point, &mut rng) {
+                    match measure(point, &mut rng) {
                         Ok(cost) => {
                             elapsed.set(saturating_add_ns(elapsed.get(), cost));
                             cost
@@ -798,27 +742,22 @@ where
         }
     };
 
-    // Execute the shuffled order on the work-stealing pool, then sort
-    // back into design order. `run_one` is infallible — panics in the
-    // measurement closure are already contained per attempt — so a
-    // pool-level panic can only be runner infrastructure and is re-raised.
-    let positioned =
-        pool::run_indexed_scoped_traced(order.len(), threads, tracer, init, |scratch, pos| {
-            let design_idx = order[pos];
+    // `run_one` is infallible — panics in the measurement closure are
+    // contained per attempt — so a pool-level panic can only be runner
+    // infrastructure, and the core re-raises it.
+    let Ok((runs, _)) = run_points(
+        config,
+        indices,
+        tracer,
+        || (),
+        |(), design_idx, point_root| {
             before(design_idx);
-            let run = run_one(scratch, design_idx);
+            let run = run_one(design_idx, point_root);
             after(design_idx, &run);
-            (design_idx, run)
-        });
-    let mut executed: Vec<(usize, ResilientRun)> = Vec::with_capacity(order.len());
-    for result in positioned {
-        match result {
-            Ok(pair) => executed.push(pair),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-    executed.sort_by_key(|(idx, _)| *idx);
-    executed
+            Ok::<_, Infallible>(run)
+        },
+    );
+    runs
 }
 
 /// Resume bookkeeping of a journaled campaign — deliberately *separate*
@@ -873,47 +812,21 @@ pub fn run_campaign_resilient_journaled<F>(
 where
     F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
 {
-    let points = design.full_factorial();
-    if points.is_empty() {
-        return Err(CampaignError::EmptyDesign);
-    }
-    let meta = JournalMeta::new(
-        design,
-        config.seed,
-        spec.code_version,
-        spec.config_fingerprint,
-    );
-    let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-    let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
-
-    let mut slots: Vec<Option<ResilientRun>> = vec![None; points.len()];
-    let mut missing: Vec<usize> = Vec::new();
-    for (idx, key) in keys.iter().enumerate() {
-        match snapshot.record_for(*key) {
-            Some(record) => slots[idx] = Some(record.clone().into_run()),
-            None => missing.push(idx),
+    let all: Vec<usize> = (0..design.size()).collect();
+    let mut start = open_subset(design, config.seed, spec, &all, |_| true)?;
+    let mut executed = execute_journaled(&mut start, plan, config, policy, &measure)?.into_iter();
+    // `missing` holds, in design order, exactly the points without a
+    // journaled record, so the executed runs fill those gaps in order.
+    let mut runs = Vec::with_capacity(all.len());
+    for key in &start.keys {
+        match start.snapshot.record_for(*key) {
+            Some(record) => runs.push(record.clone().into_run()),
+            None => runs.extend(executed.next()),
         }
     }
-    let resume = ResumeStats {
-        points_total: points.len(),
-        points_resumed: points.len() - missing.len(),
-        points_executed: missing.len(),
-        torn_tail_dropped: snapshot.torn,
-    };
-
-    let executed = execute_journaled_subset(
-        &points, &keys, &missing, plan, config, policy, journal, &measure,
-    )?;
-    for (idx, run) in executed {
-        slots[idx] = Some(run);
-    }
-    let runs: Vec<ResilientRun> = slots
-        .into_iter()
-        .map(|s| s.expect("every design point journaled or executed"))
-        .collect();
     Ok(JournaledCampaign {
         result: finish_campaign(runs)?,
-        resume,
+        resume: start.resume_stats(all.len()),
     })
 }
 
@@ -923,7 +836,9 @@ where
 ///
 /// Unlike [`run_campaign_resilient_journaled`] this performs no
 /// completeness check and returns only the [`ResumeStats`]; the results
-/// themselves live in the journal, where the supervisor merges them.
+/// themselves live in the journal, where the supervisor merges them. An
+/// index outside the design fails with [`CampaignError::BadPointIndex`],
+/// a repeated one with [`CampaignError::DuplicatePointIndex`].
 pub fn run_campaign_resilient_journaled_subset<F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -936,94 +851,132 @@ pub fn run_campaign_resilient_journaled_subset<F>(
 where
     F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
 {
+    let mut start = open_subset(design, config.seed, spec, indices, |_| true)?;
+    execute_journaled(&mut start, plan, config, policy, &measure)?;
+    Ok(start.resume_stats(indices.len()))
+}
+
+/// Expands `design` and checks that `indices` names distinct points of
+/// it — the index validation every subset runner starts with.
+pub(crate) fn subset_points(
+    design: &Design,
+    indices: &[usize],
+) -> Result<Vec<RunPoint>, CampaignError> {
     let points = design.full_factorial();
     if points.is_empty() {
         return Err(CampaignError::EmptyDesign);
     }
-    for &idx in indices {
-        if idx >= points.len() {
-            return Err(CampaignError::BadPointIndex {
-                index: idx,
-                points: points.len(),
-            });
+    let mut requested = vec![false; points.len()];
+    for &index in indices {
+        match requested.get_mut(index) {
+            None => {
+                return Err(CampaignError::BadPointIndex {
+                    index,
+                    points: points.len(),
+                })
+            }
+            Some(true) => return Err(CampaignError::DuplicatePointIndex { index }),
+            Some(seen) => *seen = true,
         }
     }
-    let meta = JournalMeta::new(
-        design,
-        config.seed,
-        spec.code_version,
-        spec.config_fingerprint,
-    );
-    let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-    let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
-    let missing: Vec<usize> = indices
-        .iter()
-        .copied()
-        .filter(|&idx| snapshot.record_for(keys[idx]).is_none())
-        .collect();
-    let resume = ResumeStats {
-        points_total: indices.len(),
-        points_resumed: indices.len() - missing.len(),
-        points_executed: missing.len(),
-        torn_tail_dropped: snapshot.torn,
-    };
-    execute_journaled_subset(
-        &points, &keys, &missing, plan, config, policy, journal, &measure,
-    )?;
-    Ok(resume)
+    Ok(points)
 }
 
-/// Runs `missing` through the engine with journal begin/point hooks; the
-/// first journal append error aborts the campaign after the engine
-/// drains (hooks themselves must not panic or early-exit workers).
-#[allow(clippy::too_many_arguments)] // internal plumbing of the journaled runners
-fn execute_journaled_subset<F>(
-    points: &[RunPoint],
-    keys: &[JournalKey],
-    missing: &[usize],
+/// What a journaled subset runner starts from: the validated points, the
+/// opened journal with its resume snapshot, every point's key, and the
+/// requested points the snapshot does not complete.
+pub(crate) struct JournaledStart {
+    pub(crate) points: Vec<RunPoint>,
+    pub(crate) keys: Vec<JournalKey>,
+    pub(crate) journal: Journal,
+    pub(crate) snapshot: JournalSnapshot,
+    /// Requested design indices still to run, in request order.
+    pub(crate) missing: Vec<usize>,
+}
+
+impl JournaledStart {
+    fn resume_stats(&self, points_total: usize) -> ResumeStats {
+        ResumeStats {
+            points_total,
+            points_resumed: points_total - self.missing.len(),
+            points_executed: self.missing.len(),
+            torn_tail_dropped: self.snapshot.torn,
+        }
+    }
+}
+
+/// The shared prologue of the journaled runners: validates `indices`,
+/// opens (or resumes) the journal for `(design, seed, spec)` — refusing
+/// a stale one — and collects the requested points whose journaled
+/// record is missing or not `complete`.
+pub(crate) fn open_subset(
+    design: &Design,
+    seed: u64,
+    spec: &JournalSpec<'_>,
+    indices: &[usize],
+    complete: impl Fn(&PointRecord) -> bool,
+) -> Result<JournaledStart, CampaignError> {
+    let points = subset_points(design, indices)?;
+    let meta = JournalMeta::new(design, seed, spec.code_version, spec.config_fingerprint);
+    let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
+    let keys: Vec<JournalKey> = points.iter().map(|p| point_key(&meta, p)).collect();
+    let missing = indices
+        .iter()
+        .copied()
+        .filter(|&idx| !snapshot.record_for(keys[idx]).is_some_and(&complete))
+        .collect();
+    Ok(JournaledStart {
+        points,
+        keys,
+        journal,
+        snapshot,
+        missing,
+    })
+}
+
+/// Runs `start.missing` through the resilient engine, appending a begin
+/// marker and then the point record of each point on the worker thread
+/// as it runs — so a crash loses at most the points in flight. The first
+/// append error fails the campaign once the engine drains (hooks must
+/// not panic or stop a worker early).
+fn execute_journaled<F>(
+    start: &mut JournaledStart,
     plan: &MeasurementPlan,
     config: &CampaignConfig,
     policy: &RetryPolicy,
-    journal: Journal,
     measure: &F,
-) -> Result<Vec<(usize, ResilientRun)>, CampaignError>
+) -> Result<Vec<ResilientRun>, CampaignError>
 where
     F: Fn(&RunPoint, &mut SimRng) -> Result<f64, MeasureFailure> + Sync,
 {
-    let journal = Mutex::new(journal);
-    let hook_error: Mutex<Option<JournalError>> = Mutex::new(None);
-    let record_error = |err: JournalError| {
-        let mut slot = hook_error.lock().expect("journal hook mutex");
-        slot.get_or_insert(err);
-    };
+    let keys = &start.keys;
+    let state = Mutex::new((&mut start.journal, None::<JournalError>));
     let executed = run_resilient_subset(
-        points,
-        missing,
+        &start.points,
+        &start.missing,
         plan,
         config,
         policy,
         None,
-        || (),
-        |(), point, rng| measure(point, rng),
+        measure,
         |idx| {
-            let mut j = journal.lock().expect("journal mutex");
-            if let Err(e) = j.append_begin(idx, keys[idx]) {
-                record_error(e);
+            let (journal, first_error) = &mut *state.lock();
+            if let Err(e) = journal.append_begin(idx, keys[idx]) {
+                first_error.get_or_insert(e);
             }
         },
         |idx, run| {
             let record = PointRecord::from_run(idx, keys[idx], run);
-            let mut j = journal.lock().expect("journal mutex");
-            if let Err(e) = j.append_point(&record) {
-                record_error(e);
+            let (journal, first_error) = &mut *state.lock();
+            if let Err(e) = journal.append_point(&record) {
+                first_error.get_or_insert(e);
             }
         },
     );
-    if let Some(err) = hook_error.lock().expect("journal hook mutex").take() {
+    if let (_, Some(err)) = state.into_inner() {
         return Err(CampaignError::Journal(err));
     }
-    let mut journal = journal.into_inner().expect("journal mutex");
-    journal.sync()?;
+    start.journal.sync()?;
     Ok(executed)
 }
 
@@ -1423,49 +1376,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_resilient_campaign_is_bit_identical_to_plain() {
-        // A per-worker scratch buffer must not change any result bit:
-        // point-level RNG forks are independent of scheduling and scratch.
-        let plain = run_campaign_resilient(
-            &demo_design(),
-            &fixed_plan(20),
-            &CampaignConfig {
-                seed: 7,
-                threads: 1,
-            },
-            &RetryPolicy::default(),
-            clean_measure,
-        )
-        .unwrap();
-        for threads in [1usize, 2, 8] {
-            let scoped = run_campaign_resilient_scoped(
-                &demo_design(),
-                &fixed_plan(20),
-                &CampaignConfig { seed: 7, threads },
-                &RetryPolicy::default(),
-                || Vec::<f64>::with_capacity(32),
-                |scratch, point, rng| {
-                    scratch.clear();
-                    scratch.push(0.0); // exercise the arena without touching rng
-                    let base = if point.level(0) == "a" { 1.0 } else { 2.0 };
-                    Ok(base + scratch[0] + rng.uniform() * 0.01)
-                },
-            )
-            .unwrap();
-            assert_eq!(plain.runs.len(), scoped.runs.len());
-            for (a, b) in plain.runs.iter().zip(&scoped.runs) {
-                let xs = &a.outcome.as_ref().unwrap().samples;
-                let ys = &b.outcome.as_ref().unwrap().samples;
-                assert_eq!(
-                    xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn health_render_is_one_line() {
         let health = CampaignHealth {
             points_total: 12,
@@ -1786,6 +1696,34 @@ mod tests {
                 points: 4
             })
         ));
+    }
+
+    #[test]
+    fn journaled_subset_rejects_duplicate_indices() {
+        // Point 1 listed twice used to be measured twice and reported as
+        // two executed points; now nothing runs and no journal is opened.
+        let dir = journal_dir("duplicate");
+        let path = dir.join("campaign.journal");
+        let err = run_campaign_resilient_journaled_subset(
+            &demo_design(),
+            &fixed_plan(10),
+            &CampaignConfig {
+                seed: 25,
+                threads: 2,
+            },
+            &RetryPolicy::default(),
+            &JournalSpec {
+                path: &path,
+                code_version: "test-v1",
+                config_fingerprint: "cfg",
+            },
+            &[1, 1],
+            |_, _| panic!("a rejected subset must not measure"),
+        )
+        .unwrap_err();
+        assert_eq!(err, CampaignError::DuplicatePointIndex { index: 1 });
+        assert!(err.to_string().contains("requested twice"));
+        assert!(!path.exists());
     }
 
     #[test]

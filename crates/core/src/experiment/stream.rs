@@ -6,9 +6,9 @@
 //! n ≈ 30–10⁴ regime but breaks down for million-sample-per-point
 //! campaigns. This module replays the same §4 execution discipline —
 //! randomized run order, per-point deterministic RNG streams, warmup
-//! exclusion, fixed or CI-driven stopping — while each point folds its
-//! samples into a [`StreamingSummary`] (exact below an adaptive
-//! threshold, t-digest + moments above it; see
+//! exclusion, fixed or CI-driven stopping — on the same campaign core,
+//! while each point folds its samples into a [`StreamingSummary`] (exact
+//! below an adaptive threshold, t-digest + moments above it; see
 //! `scibench_stats::sketch`).
 //!
 //! Determinism contract: a point's summary is built **sequentially by
@@ -23,21 +23,15 @@
 //! samples) into the crash-consistent journal of [`super::journal`],
 //! keeping resume state O(sketch) per point.
 
-use std::sync::Mutex;
-
 use scibench_sim::rng::SimRng;
-use scibench_stats::ci::ConfidenceInterval;
 use scibench_stats::error::{StatsError, StatsResult};
 use scibench_stats::sketch::{KeyedPartials, MergeableSummary, StreamConfig, StreamingSummary};
-use scibench_stats::{ci, summary::OnlineMoments};
 
-use crate::parallel::pool;
-
-use super::campaign::CampaignConfig;
+use super::campaign::{run_points, CampaignConfig};
 use super::design::{Design, RunPoint};
-use super::journal::{point_key, Journal, JournalError, JournalMeta, JournalSpec, PointRecord};
-use super::measurement::{MeasurementPlan, StoppingRule};
-use super::resilience::{CampaignError, PointFate};
+use super::journal::{JournalSpec, PointRecord};
+use super::measurement::{MeasurementPlan, SampleSink};
+use super::resilience::{open_subset, subset_points, CampaignError, PointFate};
 
 /// The bounded-memory result of measuring one operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,129 +55,60 @@ impl StreamOutcome {
     }
 }
 
+/// The streaming sink: warmup values are discarded, the mean rule
+/// replans from the summary's exact Welford moments, and the median rule
+/// checks the summary's median CI — bit-identical to the vector path's
+/// check while the summary is exact, rank-error-bounded after promotion.
+impl SampleSink for StreamingSummary {
+    fn warmup(&mut self, _x: f64) {}
+
+    fn push(&mut self, x: f64) {
+        MergeableSummary::push(self, x);
+    }
+
+    fn len(&self) -> usize {
+        (self.moments().count() + self.moments().non_finite_count()) as usize
+    }
+
+    fn required_samples(&mut self, confidence: f64, rel_error: f64) -> StatsResult<usize> {
+        scibench_stats::ci::required_samples_from_moments(self.moments(), confidence, rel_error)
+    }
+
+    fn median_tight(&mut self, confidence: f64, rel_error: f64) -> StatsResult<bool> {
+        match self.median_ci(confidence) {
+            Ok(ci) => Ok(ci
+                .relative_half_width()
+                .map(|r| r <= rel_error)
+                .unwrap_or(false)),
+            Err(StatsError::TooFewSamples { .. }) | Err(StatsError::EmptySample) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+}
+
 /// Runs a measurement plan in streaming mode: same warmup and stopping
-/// semantics as [`MeasurementPlan::run`], but samples fold into a
-/// [`StreamingSummary`] instead of accumulating in a vector.
+/// semantics as [`MeasurementPlan::run`] (both are driven by one
+/// stopping-rule engine), but samples fold into a [`StreamingSummary`]
+/// instead of accumulating in a vector.
 ///
-/// Semantics deliberately mirror the vector path so the two modes stop
-/// after the *same number of calls* to `operation` for the same sample
-/// stream: the mean rule replans from identical Welford moments, and the
-/// median rule's CI check is bit-identical while the summary is exact
-/// (below `stream.threshold`) and rank-error-bounded after promotion.
+/// The two modes stop after the *same number of calls* to `operation`
+/// for the same sample stream: the mean rule replans from identical
+/// Welford moments, and the median rule's CI check is bit-identical
+/// while the summary is exact (below `stream.threshold`) and
+/// rank-error-bounded after promotion.
 pub fn run_stream(
     plan: &MeasurementPlan,
     stream: &StreamConfig,
-    mut operation: impl FnMut() -> f64,
+    operation: impl FnMut() -> f64,
 ) -> StatsResult<StreamOutcome> {
-    plan.validate()?;
     let mut summary = StreamingSummary::new(*stream)?;
-    for _ in 0..plan.warmup_iterations {
-        // Warmup executes and discards (§4.1.2); nothing is recorded.
-        let _ = operation();
-    }
-
-    let mut seen = 0u64;
-    let mut push = |summary: &mut StreamingSummary, seen: &mut u64| {
-        summary.push(operation());
-        *seen += 1;
-    };
-
-    let converged = match plan.stopping {
-        StoppingRule::FixedCount(n) => {
-            for _ in 0..n {
-                push(&mut summary, &mut seen);
-            }
-            true
-        }
-        StoppingRule::AdaptiveMeanCi {
-            confidence,
-            rel_error,
-            batch,
-            max_samples,
-        } => {
-            let mut converged = false;
-            let pilot = batch.max(5);
-            for _ in 0..pilot.min(max_samples) {
-                push(&mut summary, &mut seen);
-            }
-            while (seen as usize) < max_samples {
-                let required = required_samples(summary.moments(), confidence, rel_error)?;
-                if required <= seen as usize {
-                    converged = true;
-                    break;
-                }
-                let next = required.min(max_samples).min(seen as usize + batch.max(1));
-                while (seen as usize) < next {
-                    push(&mut summary, &mut seen);
-                }
-            }
-            if !converged {
-                converged =
-                    required_samples(summary.moments(), confidence, rel_error)? <= seen as usize;
-            }
-            converged
-        }
-        StoppingRule::AdaptiveMedianCi {
-            confidence,
-            rel_error,
-            batch,
-            max_samples,
-        } => {
-            let mut converged = false;
-            let batch = batch.max(1);
-            while (seen as usize) < max_samples {
-                for _ in 0..batch.min(max_samples - seen as usize) {
-                    push(&mut summary, &mut seen);
-                }
-                if let Some((_ci, tight)) = median_stop_check(&summary, confidence, rel_error)? {
-                    if tight {
-                        converged = true;
-                        break;
-                    }
-                }
-            }
-            converged
-        }
-    };
-
+    let converged = plan.drive(&mut summary, operation)?;
     Ok(StreamOutcome {
         name: plan.name.clone(),
         converged,
         warmup_seen: plan.warmup_iterations as u64,
         summary,
     })
-}
-
-/// The §4.2.2 replanning formula on streamed moments — identical to the
-/// vector path's check.
-fn required_samples(
-    moments: &OnlineMoments,
-    confidence: f64,
-    rel_error: f64,
-) -> StatsResult<usize> {
-    ci::required_samples_from_moments(moments, confidence, rel_error)
-}
-
-/// The median-CI tightness check of
-/// `ci::nonparametric_stop_check_sorted`, evaluated on the streamed
-/// summary: `None` while too few samples, otherwise the CI and whether
-/// its relative half-width is within `rel_error`.
-fn median_stop_check(
-    summary: &StreamingSummary,
-    confidence: f64,
-    rel_error: f64,
-) -> StatsResult<Option<(ConfidenceInterval, bool)>> {
-    match summary.median_ci(confidence) {
-        Ok(ci) => {
-            let tight = ci
-                .relative_half_width()
-                .map(|r| r <= rel_error)
-                .unwrap_or(false);
-            Ok(Some((ci, tight)))
-        }
-        Err(StatsError::TooFewSamples { .. }) | Err(StatsError::EmptySample) => Ok(None),
-        Err(e) => Err(e),
-    }
 }
 
 /// One streamed design point.
@@ -239,13 +164,8 @@ where
         return Err(StatsError::EmptySample);
     }
     let all: Vec<usize> = (0..points.len()).collect();
-    let runs = stream_points(&points, &all, plan, stream, config, true, &measure)?;
-    let mut partials = KeyedPartials::new();
-    for (idx, run) in all.iter().zip(&runs) {
-        partials
-            .insert(*idx as u64, run.outcome.summary.clone())
-            .expect("design indices are unique keys");
-    }
+    let runs = stream_points(&points, &all, plan, stream, config, &measure)?;
+    let partials = keyed(&all, &runs)?;
     Ok(StreamCampaign { runs, partials })
 }
 
@@ -254,6 +174,10 @@ where
 /// runs on its assigned partition. The union of all shards' partials is
 /// bit-identical to [`run_campaign_stream`]'s `partials` on the full
 /// design, regardless of how the points were partitioned.
+///
+/// An index outside the design fails with
+/// [`CampaignError::BadPointIndex`], a repeated one with
+/// [`CampaignError::DuplicatePointIndex`].
 pub fn run_campaign_stream_subset<F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -265,24 +189,9 @@ pub fn run_campaign_stream_subset<F>(
 where
     F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
 {
-    let points = design.full_factorial();
-    if points.is_empty() {
-        return Err(CampaignError::EmptyDesign);
-    }
-    for &idx in indices {
-        if idx >= points.len() {
-            return Err(CampaignError::BadPointIndex {
-                index: idx,
-                points: points.len(),
-            });
-        }
-    }
-    let runs = stream_points(&points, indices, plan, stream, config, false, &measure)?;
-    let mut partials = KeyedPartials::new();
-    for (idx, run) in indices.iter().zip(&runs) {
-        partials.insert(*idx as u64, run.outcome.summary.clone())?;
-    }
-    Ok(partials)
+    let points = subset_points(design, indices)?;
+    let runs = stream_points(&points, indices, plan, stream, config, &measure)?;
+    Ok(keyed(indices, &runs)?)
 }
 
 /// Unions shard partials into one keyed set. The union is
@@ -316,6 +225,9 @@ pub struct StreamResume {
 /// carries the summary's canonical record (no sample vector — resume
 /// state stays O(sketch) per point). On restart, journaled sketches are
 /// decoded and replayed bit-exactly instead of re-measuring.
+///
+/// The points run first and are appended afterwards, in `indices` order;
+/// index errors are those of [`run_campaign_stream_subset`].
 pub fn run_campaign_stream_journaled_subset<F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -328,57 +240,26 @@ pub fn run_campaign_stream_journaled_subset<F>(
 where
     F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
 {
-    let points = design.full_factorial();
-    if points.is_empty() {
-        return Err(CampaignError::EmptyDesign);
-    }
-    for &idx in indices {
-        if idx >= points.len() {
-            return Err(CampaignError::BadPointIndex {
-                index: idx,
-                points: points.len(),
-            });
-        }
-    }
-    let meta = JournalMeta::new(
-        design,
-        config.seed,
-        spec.code_version,
-        spec.config_fingerprint,
-    );
-    let (journal, snapshot) = Journal::open_resume(spec.path, &meta)?;
-    let keys: Vec<_> = points.iter().map(|p| point_key(&meta, p)).collect();
-
+    // Only a record carrying a sketch counts as streaming-complete; a
+    // sample-mode record for the same key is re-measured.
+    let mut start = open_subset(design, config.seed, spec, indices, |record| {
+        record.sketch.is_some()
+    })?;
     let mut partials = KeyedPartials::new();
-    let mut missing = Vec::new();
     for &idx in indices {
-        // Only a record carrying a sketch counts as streaming-complete;
-        // a sample-mode record for the same key is re-measured.
-        match snapshot
-            .record_for(keys[idx])
-            .and_then(|r| r.sketch.as_deref())
-        {
-            Some(record) => partials.insert(idx as u64, StreamingSummary::from_record(record)?)?,
-            None => missing.push(idx),
+        let record = start.snapshot.record_for(start.keys[idx]);
+        if let Some(sketch) = record.and_then(|r| r.sketch.as_deref()) {
+            partials.insert(idx as u64, StreamingSummary::from_record(sketch)?)?;
         }
     }
-    let resume_count = indices.len() - missing.len();
 
-    let journal = Mutex::new(journal);
-    let hook_error: Mutex<Option<JournalError>> = Mutex::new(None);
-    let runs = stream_points(
-        &points,
-        &missing,
-        plan,
-        stream,
-        config,
-        false,
-        &|point, rng| measure(point, rng),
-    )?;
+    let missing = &start.missing;
+    let runs = stream_points(&start.points, missing, plan, stream, config, &measure)?;
     for (&idx, run) in missing.iter().zip(&runs) {
-        let record = PointRecord {
+        start.journal.append_begin(idx, start.keys[idx])?;
+        start.journal.append_point(&PointRecord {
             index: idx,
-            key: keys[idx],
+            key: start.keys[idx],
             levels: run.point.levels.clone(),
             fate: PointFate::Completed {
                 attempts: 1,
@@ -388,121 +269,57 @@ where
             outcome: None,
             notes: Vec::new(),
             sketch: Some(run.outcome.summary.to_record()),
-        };
-        let mut j = journal.lock().expect("journal mutex");
-        if let Err(e) = j.append_begin(idx, keys[idx]) {
-            hook_error.lock().expect("hook mutex").get_or_insert(e);
-            break;
-        }
-        if let Err(e) = j.append_point(&record) {
-            hook_error.lock().expect("hook mutex").get_or_insert(e);
-            break;
-        }
+        })?;
     }
-    if let Some(err) = hook_error.lock().expect("hook mutex").take() {
-        return Err(CampaignError::Journal(err));
-    }
-    let mut journal = journal.into_inner().expect("journal mutex");
-    journal.sync()?;
-    for (&idx, run) in missing.iter().zip(&runs) {
-        partials.insert(idx as u64, run.outcome.summary.clone())?;
+    start.journal.sync()?;
+    for (&idx, run) in missing.iter().zip(runs) {
+        partials.insert(idx as u64, run.outcome.summary)?;
     }
     Ok(StreamResume {
         points_total: indices.len(),
-        points_resumed: resume_count,
+        points_resumed: indices.len() - missing.len(),
         points_executed: missing.len(),
         partials,
     })
 }
 
-/// Shared engine: measures `indices` (design indices) in streaming mode
-/// on the pool and returns their runs in `indices` order.
-///
-/// When `shuffle` is set the *execution* order is randomized (§4.1.1);
-/// results are un-shuffled before returning, and per-point RNG streams
-/// are keyed by design index either way, so the output never depends on
-/// the schedule. Worker lanes accumulate their finished summaries into
-/// per-lane [`KeyedPartials`] via the pool's fold primitive
-/// ([`pool::run_indexed_collect_scoped`]); the lane union is asserted
-/// against the returned runs in debug builds — the two must agree bit
-/// for bit because every key is written by exactly one lane.
+/// Keys each run's summary by its design index.
+fn keyed(indices: &[usize], runs: &[StreamRun]) -> StatsResult<KeyedPartials<StreamingSummary>> {
+    let mut partials = KeyedPartials::new();
+    for (&idx, run) in indices.iter().zip(runs) {
+        partials.insert(idx as u64, run.outcome.summary.clone())?;
+    }
+    Ok(partials)
+}
+
+/// Measures `indices` (design indices) in streaming mode on the campaign
+/// core and returns their runs in `indices` order; the first error in
+/// that order wins.
 fn stream_points<F>(
     points: &[RunPoint],
     indices: &[usize],
     plan: &MeasurementPlan,
     stream: &StreamConfig,
     config: &CampaignConfig,
-    shuffle: bool,
     measure: &F,
 ) -> StatsResult<Vec<StreamRun>>
 where
     F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
 {
-    if indices.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = config.threads.clamp(1, indices.len());
-    let mut order: Vec<usize> = indices.to_vec();
-    if shuffle {
-        let mut order_rng = SimRng::new(config.seed).fork("campaign-order");
-        order_rng.shuffle(&mut order);
-    }
-
-    let root = SimRng::new(config.seed);
-    let (positioned, lanes) = pool::run_indexed_collect_scoped(
-        order.len(),
-        threads,
+    let (runs, _) = run_points(
+        config,
+        indices,
         None,
-        KeyedPartials::<StreamingSummary>::new,
-        |lane_partials, pos| -> StatsResult<StreamRun> {
-            let design_idx = order[pos];
-            let point = &points[design_idx];
-            let mut rng = root.fork_indexed("campaign-point", design_idx as u64);
+        || (),
+        |(), idx, mut rng| {
+            let point = &points[idx];
             let outcome = run_stream(plan, stream, || measure(point, &mut rng))?;
-            lane_partials
-                .insert(design_idx as u64, outcome.summary.clone())
-                .expect("each design index is measured once");
             Ok(StreamRun {
                 point: point.clone(),
                 outcome,
             })
         },
-    );
-
-    // Un-shuffle back into `indices` order; resolve errors by lowest
-    // design index and re-raise panics after every point finished.
-    let mut by_design: Vec<Option<std::thread::Result<StatsResult<StreamRun>>>> =
-        (0..points.len()).map(|_| None).collect();
-    for (pos, result) in positioned.into_iter().enumerate() {
-        by_design[order[pos]] = Some(result);
-    }
-    let mut runs = Vec::with_capacity(indices.len());
-    for &idx in indices {
-        match by_design[idx]
-            .take()
-            .expect("every requested point executed")
-        {
-            Ok(Ok(run)) => runs.push(run),
-            Ok(Err(e)) => return Err(e),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    // The lane fold must reproduce the per-point results exactly: keys
-    // are disjoint across lanes, so the union is schedule-independent.
-    if cfg!(debug_assertions) {
-        let mut union = KeyedPartials::new();
-        for lane in &lanes {
-            union.merge_from(lane).expect("disjoint lane keys");
-        }
-        for (&idx, run) in indices.iter().zip(&runs) {
-            debug_assert_eq!(
-                union.get(idx as u64).map(|s| s.to_record()),
-                Some(run.outcome.summary.to_record()),
-                "lane fold diverged from per-point result at design index {idx}"
-            );
-        }
-    }
+    )?;
     Ok(runs)
 }
 
@@ -510,7 +327,9 @@ where
 mod tests {
     use super::*;
     use crate::experiment::design::Factor;
+    use crate::experiment::measurement::StoppingRule;
     use scibench_stats::sketch::DEFAULT_STREAM_THRESHOLD;
+    use scibench_stats::summary::OnlineMoments;
 
     fn demo_design() -> Design {
         Design::new(vec![
@@ -747,6 +566,104 @@ mod tests {
         );
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn subset_runners_reject_duplicate_indices() {
+        // `[2, 2]` used to panic inside the runner at threads 1 and 2.
+        let plan = fixed_plan(50);
+        let stream_cfg = StreamConfig::default();
+        let dir =
+            std::env::temp_dir().join(format!("scibench-stream-duplicate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stream.journal");
+        let _ = std::fs::remove_file(&path);
+        let spec = JournalSpec {
+            path: &path,
+            code_version: "test",
+            config_fingerprint: "stream",
+        };
+        for threads in [1, 2] {
+            let config = CampaignConfig { seed: 3, threads };
+            let plain = run_campaign_stream_subset(
+                &demo_design(),
+                &plan,
+                &stream_cfg,
+                &config,
+                &[2, 2],
+                demo_measure,
+            );
+            assert_eq!(
+                plain.unwrap_err(),
+                CampaignError::DuplicatePointIndex { index: 2 }
+            );
+            let journaled = run_campaign_stream_journaled_subset(
+                &demo_design(),
+                &plan,
+                &stream_cfg,
+                &config,
+                &spec,
+                &[0, 2, 2],
+                demo_measure,
+            );
+            assert_eq!(
+                journaled.unwrap_err(),
+                CampaignError::DuplicatePointIndex { index: 2 }
+            );
+        }
+        assert!(!path.exists());
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn lane_fold_reproduces_per_point_summaries() {
+        // Each pool lane folds the summaries it measured into its own
+        // keyed partials. Every design index is measured by exactly one
+        // lane, so the union of the lanes must reproduce the per-point
+        // summaries — and the campaign's partials — bit for bit at any
+        // thread count.
+        let plan = fixed_plan(300);
+        let stream_cfg = StreamConfig {
+            threshold: 64,
+            ..StreamConfig::default()
+        };
+        let points = demo_design().full_factorial();
+        let all: Vec<usize> = (0..points.len()).collect();
+        for threads in [1, 2, 8] {
+            let config = CampaignConfig { seed: 31, threads };
+            let (outcomes, lanes) = run_points(
+                &config,
+                &all,
+                None,
+                KeyedPartials::<StreamingSummary>::new,
+                |lane, idx, mut rng| {
+                    let outcome =
+                        run_stream(&plan, &stream_cfg, || demo_measure(&points[idx], &mut rng))?;
+                    lane.insert(idx as u64, outcome.summary.clone())?;
+                    Ok::<_, StatsError>(outcome)
+                },
+            )
+            .unwrap();
+            let mut union = KeyedPartials::new();
+            for lane in &lanes {
+                union.merge_from(lane).unwrap();
+            }
+            for (&idx, outcome) in all.iter().zip(&outcomes) {
+                assert_eq!(
+                    union.get(idx as u64).map(|s| s.to_record()),
+                    Some(outcome.summary.to_record()),
+                    "threads={threads} design index {idx}"
+                );
+            }
+            let campaign =
+                run_campaign_stream(&demo_design(), &plan, &stream_cfg, &config, demo_measure)
+                    .unwrap();
+            assert_eq!(
+                campaign.partials.to_record(),
+                union.to_record(),
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`pool`] — the deterministic work-stealing thread pool that executes
 //!   campaigns, resilient campaigns and figure generation. Determinism is
 //!   a hard contract: results are a pure function of the task inputs,
-//!   never of thread scheduling (see [`pool::run_indexed`]).
+//!   never of thread scheduling (see [`pool::run_indexed_scoped_traced`]).
 //! * [`shard`] — supervised shared-nothing execution across child OS
 //!   processes: heartbeat watchdog, kill-and-respawn, and persistent
 //!   quarantine of points that repeatedly crash their worker, all backed

@@ -1,12 +1,12 @@
 //! Deterministic work-stealing execution of indexed task sets.
 //!
-//! [`run_indexed`] runs `n` independent tasks, identified by index, on a
-//! fixed number of workers. Each worker owns a contiguous index range and
-//! claims indices from it with an atomic cursor; a worker whose range is
-//! exhausted *steals* from the other ranges, so a straggler task cannot
-//! idle the rest of the pool. Results are written into per-index slots —
-//! no mutex is touched on the hot path (a mutex guards only the cold
-//! panic-collection path).
+//! [`run_indexed_scoped_traced`] runs `n` independent tasks, identified
+//! by index, on a fixed number of workers. Each worker owns a contiguous
+//! index range and claims indices from it with an atomic cursor; a worker
+//! whose range is exhausted *steals* from the other ranges, so a
+//! straggler task cannot idle the rest of the pool. Each worker collects its results locally —
+//! no mutex is touched on the hot path — and the pool sorts them back
+//! into index order once every worker has finished.
 //!
 //! # Determinism contract
 //!
@@ -17,10 +17,8 @@
 //! from `(seed, point_index)`, bootstrap replicates from `(seed, rep)`),
 //! every result in this crate is bit-identical at any thread count.
 
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use scibench_trace::{category, lane_of, ArgValue, Tracer};
@@ -33,66 +31,26 @@ use scibench_trace::{category, lane_of, ArgValue, Tracer};
 /// workers' tasks). All `n` tasks always run — there is no early abort —
 /// so callers can resolve errors in *their* preferred order rather than
 /// in scheduling order.
-pub fn run_indexed<T, F>(n: usize, threads: usize, task: F) -> Vec<std::thread::Result<T>>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_traced(n, threads, None, task)
-}
-
-/// [`run_indexed`] with a per-worker scratch state.
 ///
-/// `init` runs once on each worker (lane) to build its private scratch
-/// value `S`, and every task executed by that worker receives `&mut S`.
-/// This is how hot loops reuse arenas — e.g. a
+/// **Scratch contract.** `init` runs once on each worker (lane) to build
+/// its private scratch value `S`, and every task executed by that worker
+/// receives `&mut S`. This is how hot loops reuse arenas — e.g. a
 /// `scibench_sim::compile::ReplayCtx` per lane — without any cross-thread
 /// sharing: each scratch value is owned by exactly one worker for the
-/// whole call. The determinism contract of [`run_indexed`] is unchanged
-/// *provided* the task's output does not depend on scratch contents
-/// carried across tasks (an arena of reusable buffers qualifies; an
-/// accumulator does not).
-pub fn run_indexed_scoped<S, T, I, F>(
-    n: usize,
-    threads: usize,
-    init: I,
-    task: F,
-) -> Vec<std::thread::Result<T>>
-where
-    S: Send,
-    T: Send + Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_indexed_scoped_traced(n, threads, None, init, task)
-}
-
-/// [`run_indexed`] with optional tracing.
+/// whole call. The determinism contract above is unchanged *provided*
+/// the task's output does not depend on scratch contents carried across
+/// tasks (an arena of reusable buffers qualifies; an accumulator does
+/// not). Pass `|| ()` when no scratch is needed.
 ///
-/// When `tracer` is `Some`, each worker records on its own lane: one
-/// [`category::POOL`] span per executed task (exactly `n` at any thread
-/// count — a deterministic event stream), plus schedule-dependent
-/// [`category::SCHED`] events — a per-worker occupancy span, one steal
-/// instant per task claimed outside the worker's own range — which vary
-/// run-to-run and are excluded from determinism checks. Tracing never
-/// influences task execution or result order, so the determinism
-/// contract above is unaffected; with `tracer` `None` (or a disabled
-/// tracer) every instrumentation point is a single branch.
-pub fn run_indexed_traced<T, F>(
-    n: usize,
-    threads: usize,
-    tracer: Option<&Tracer>,
-    task: F,
-) -> Vec<std::thread::Result<T>>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_scoped_traced(n, threads, tracer, || (), |(), i| task(i))
-}
-
-/// [`run_indexed_scoped`] with optional tracing (see
-/// [`run_indexed_traced`] for the event contract).
+/// **Event contract.** When `tracer` is `Some`, each worker records on
+/// its own lane: one [`category::POOL`] span per executed task (exactly
+/// `n` at any thread count — a deterministic event stream), plus
+/// schedule-dependent [`category::SCHED`] events — a per-worker
+/// occupancy span, one steal instant per task claimed outside the
+/// worker's own range — which vary run-to-run and are excluded from
+/// determinism checks. Tracing never influences task execution or result
+/// order, so the determinism contract is unaffected; with `tracer` `None`
+/// (or a disabled tracer) every instrumentation point is a single branch.
 pub fn run_indexed_scoped_traced<S, T, I, F>(
     n: usize,
     threads: usize,
@@ -169,26 +127,27 @@ where
     // Worker `w` owns the contiguous range `bounds[w]..bounds[w + 1]`.
     let bounds: Vec<usize> = (0..=threads).map(|w| w * n / threads).collect();
     let cursors: Vec<AtomicUsize> = (0..threads).map(|w| AtomicUsize::new(bounds[w])).collect();
-    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
-    let panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
-    // Scratch hand-back is once-per-worker, so a mutex is fine (cold path).
-    let scratches: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::with_capacity(threads));
+    // Each worker keeps its `(index, result)` pairs locally and hands them
+    // back with its scratch once, at exit — a cold-path mutex.
+    type Finished<S, T> = (usize, S, Vec<(usize, std::thread::Result<T>)>);
+    let finished: Mutex<Vec<Finished<S, T>>> = Mutex::new(Vec::with_capacity(threads));
 
     {
         let bounds = &bounds;
         let cursors = &cursors;
-        let slots = &slots;
-        let panics = &panics;
-        let scratches = &scratches;
+        let finished = &finished;
         let task = &task;
         let init = &init;
+        // A panic outside `catch_unwind` (in `init`) propagates out of the
+        // scope, so when it returns every index has been claimed by
+        // exactly one worker.
         crossbeam::thread::scope(|scope| {
             for w in 0..threads {
                 scope.spawn(move || {
                     let mut lane = lane_of(tracer, w as u32);
                     let occupancy = lane.begin();
                     let mut scratch = init();
-                    let mut executed = 0u64;
+                    let mut done = Vec::new();
                     let mut steals = 0u64;
                     // Drain the own range first (probe 0), then steal
                     // from the neighbours in a fixed rotation.
@@ -211,15 +170,11 @@ where
                                     ],
                                 );
                             }
-                            executed += 1;
                             let start = lane.begin();
-                            match catch_unwind(AssertUnwindSafe(|| task(&mut scratch, i))) {
-                                Ok(value) => {
-                                    let fresh = slots[i].set(value).is_ok();
-                                    debug_assert!(fresh, "index {i} claimed twice");
-                                }
-                                Err(payload) => panics.lock().push((i, payload)),
-                            }
+                            done.push((
+                                i,
+                                catch_unwind(AssertUnwindSafe(|| task(&mut scratch, i))),
+                            ));
                             lane.end(
                                 start,
                                 category::POOL,
@@ -236,34 +191,28 @@ where
                         category::SCHED,
                         "worker",
                         &[
-                            ("tasks", ArgValue::U64(executed)),
+                            ("tasks", ArgValue::U64(done.len() as u64)),
                             ("steals", ArgValue::U64(steals)),
                         ],
                     );
-                    scratches.lock().push((w, scratch));
+                    finished.lock().push((w, scratch, done));
                 });
             }
         });
     }
 
-    let mut panic_by_index: Vec<Option<Box<dyn Any + Send>>> = (0..n).map(|_| None).collect();
-    for (i, payload) in panics.into_inner() {
-        panic_by_index[i] = Some(payload);
+    // Hand scratches back in lane order so callers see a stable layout,
+    // and results in index order.
+    let mut finished = finished.into_inner();
+    finished.sort_by_key(|(w, _, _)| *w);
+    let mut results = Vec::with_capacity(n);
+    let mut scratches = Vec::with_capacity(threads);
+    for (_, scratch, done) in finished {
+        scratches.push(scratch);
+        results.extend(done);
     }
-    let results = slots
-        .into_iter()
-        .zip(panic_by_index)
-        .map(|(slot, panic)| match panic {
-            Some(payload) => Err(payload),
-            None => Ok(slot
-                .into_inner()
-                .expect("every index is claimed by exactly one worker")),
-        })
-        .collect();
-    // Hand scratches back in lane order so callers see a stable layout.
-    let mut pairs = scratches.into_inner();
-    pairs.sort_by_key(|(w, _)| *w);
-    (results, pairs.into_iter().map(|(_, s)| s).collect())
+    results.sort_unstable_by_key(|(i, _)| *i);
+    (results.into_iter().map(|(_, r)| r).collect(), scratches)
 }
 
 #[cfg(test)]
@@ -274,7 +223,7 @@ mod tests {
     #[test]
     fn results_are_in_index_order_at_any_thread_count() {
         for threads in [1, 2, 3, 8, 64] {
-            let out = run_indexed(37, threads, |i| i * i);
+            let out = run_indexed_scoped_traced(37, threads, None, || (), |(), i| i * i);
             assert_eq!(out.len(), 37);
             for (i, r) in out.into_iter().enumerate() {
                 assert_eq!(r.unwrap(), i * i, "threads={threads}");
@@ -285,10 +234,16 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        let out = run_indexed(100, 8, |i| {
-            hits[i].fetch_add(1, Ordering::SeqCst);
-            i
-        });
+        let out = run_indexed_scoped_traced(
+            100,
+            8,
+            None,
+            || (),
+            |(), i| {
+                hits[i].fetch_add(1, Ordering::SeqCst);
+                i
+            },
+        );
         assert_eq!(out.len(), 100);
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::SeqCst), 1, "task {i}");
@@ -300,12 +255,18 @@ mod tests {
         // Give worker 0's range all the slow tasks: with stealing the
         // other workers drain them; without it the call would still
         // finish, so the real assertion is completeness + order.
-        let out = run_indexed(64, 8, |i| {
-            if i < 8 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            i + 1
-        });
+        let out = run_indexed_scoped_traced(
+            64,
+            8,
+            None,
+            || (),
+            |(), i| {
+                if i < 8 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                i + 1
+            },
+        );
         for (i, r) in out.into_iter().enumerate() {
             assert_eq!(r.unwrap(), i + 1);
         }
@@ -313,12 +274,18 @@ mod tests {
 
     #[test]
     fn panics_are_contained_per_task() {
-        let out = run_indexed(10, 4, |i| {
-            if i == 3 || i == 7 {
-                panic!("boom {i}");
-            }
-            i
-        });
+        let out = run_indexed_scoped_traced(
+            10,
+            4,
+            None,
+            || (),
+            |(), i| {
+                if i == 3 || i == 7 {
+                    panic!("boom {i}");
+                }
+                i
+            },
+        );
         for (i, r) in out.into_iter().enumerate() {
             if i == 3 || i == 7 {
                 let payload = r.expect_err("task panicked");
@@ -355,9 +322,10 @@ mod tests {
     fn traced_run_matches_untraced_and_counts_tasks() {
         use scibench_trace::category;
         for threads in [1, 2, 8] {
-            let plain = run_indexed(25, threads, |i| i * 3);
+            let plain = run_indexed_scoped_traced(25, threads, None, || (), |(), i| i * 3);
             let tracer = Tracer::new();
-            let traced = run_indexed_traced(25, threads, Some(&tracer), |i| i * 3);
+            let traced =
+                run_indexed_scoped_traced(25, threads, Some(&tracer), || (), |(), i| i * 3);
             let plain: Vec<usize> = plain.into_iter().map(|r| r.unwrap()).collect();
             let traced: Vec<usize> = traced.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(plain, traced, "threads={threads}");
@@ -378,7 +346,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        let out = run_indexed_traced(40, 4, Some(&tracer), |i| i + 1);
+        let out = run_indexed_scoped_traced(40, 4, Some(&tracer), || (), |(), i| i + 1);
         assert_eq!(out.len(), 40);
         assert!(tracer.drain().is_empty());
     }
@@ -387,7 +355,7 @@ mod tests {
     fn traced_pool_spans_carry_task_indices() {
         use scibench_trace::{category, EventKind};
         let tracer = Tracer::new();
-        let _ = run_indexed_traced(10, 3, Some(&tracer), |i| i);
+        let _ = run_indexed_scoped_traced(10, 3, Some(&tracer), || (), |(), i| i);
         let trace = tracer.drain();
         let mut indices: Vec<u64> = trace
             .events
@@ -410,9 +378,10 @@ mod tests {
         // address to prove no cross-thread sharing, and results must be
         // identical to the unscoped run at every thread count.
         for threads in [1, 2, 8] {
-            let out = run_indexed_scoped(
+            let out = run_indexed_scoped_traced(
                 50,
                 threads,
+                None,
                 || Vec::<u64>::with_capacity(64),
                 |arena, i| {
                     arena.clear();
@@ -420,7 +389,13 @@ mod tests {
                     (arena.as_ptr() as usize, arena.iter().sum::<u64>())
                 },
             );
-            let plain = run_indexed(50, threads, |i| (0..=i as u64).map(|x| x * x).sum::<u64>());
+            let plain = run_indexed_scoped_traced(
+                50,
+                threads,
+                None,
+                || (),
+                |(), i| (0..=i as u64).map(|x| x * x).sum::<u64>(),
+            );
             let mut arenas = std::collections::HashSet::new();
             for (i, (r, p)) in out.into_iter().zip(plain).enumerate() {
                 let (ptr, sum) = r.unwrap();
@@ -435,11 +410,11 @@ mod tests {
 
     #[test]
     fn degenerate_shapes() {
-        assert!(run_indexed(0, 4, |i| i).is_empty());
-        let one = run_indexed(1, 16, |i| i + 5);
+        assert!(run_indexed_scoped_traced(0, 4, None, || (), |(), i| i).is_empty());
+        let one = run_indexed_scoped_traced(1, 16, None, || (), |(), i| i + 5);
         assert_eq!(one[0].as_ref().unwrap(), &5);
         // More threads than tasks clamps cleanly.
-        let out = run_indexed(3, 100, |i| i);
+        let out = run_indexed_scoped_traced(3, 100, None, || (), |(), i| i);
         assert_eq!(out.len(), 3);
     }
 }

@@ -14,8 +14,8 @@
 //! A disabled tracer hands out detached [`LocalTracer`]s whose every
 //! method is a branch on an `Option` discriminant: no clock read, no
 //! allocation, no buffer growth. [`Tracer::disabled`] is the default
-//! wired through `run_indexed` and `run_campaign`, so untraced callers
-//! pay one predictable branch per would-be event.
+//! wired through `run_indexed_scoped_traced` and `run_campaign`, so
+//! untraced callers pay one predictable branch per would-be event.
 //!
 //! # Determinism
 //!

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use scibench::experiment::campaign::{
-    run_campaign, run_campaign_traced, CampaignConfig, CampaignResult,
+    run_campaign, run_campaign_scoped_traced, CampaignConfig, CampaignResult,
 };
 use scibench::experiment::design::{Design, Factor, RunPoint};
 use scibench::experiment::measurement::{MeasurementPlan, StoppingRule};
@@ -38,12 +38,13 @@ fn plan(samples: usize) -> MeasurementPlan {
 /// Runs the traced campaign, returning the result and drained trace.
 fn traced(seed: u64, sizes: usize, samples: usize, threads: usize) -> (CampaignResult, Trace) {
     let tracer = Tracer::new();
-    let result = run_campaign_traced(
+    let result = run_campaign_scoped_traced(
         &design(sizes),
         &plan(samples),
         &CampaignConfig { seed, threads },
         Some(&tracer),
-        measure,
+        || (),
+        |(), point, rng| measure(point, rng),
     )
     .expect("traced campaign");
     (result, tracer.drain())
