@@ -858,10 +858,7 @@ where
 
 /// Expands `design` and checks that `indices` names distinct points of
 /// it — the index validation every subset runner starts with.
-pub(crate) fn subset_points(
-    design: &Design,
-    indices: &[usize],
-) -> Result<Vec<RunPoint>, CampaignError> {
+fn subset_points(design: &Design, indices: &[usize]) -> Result<Vec<RunPoint>, CampaignError> {
     let points = design.full_factorial();
     if points.is_empty() {
         return Err(CampaignError::EmptyDesign);

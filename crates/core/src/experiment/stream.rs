@@ -31,7 +31,7 @@ use super::campaign::{run_points, CampaignConfig};
 use super::design::{Design, RunPoint};
 use super::journal::{JournalSpec, PointRecord};
 use super::measurement::{MeasurementPlan, SampleSink};
-use super::resilience::{open_subset, subset_points, CampaignError, PointFate};
+use super::resilience::{open_subset, CampaignError, PointFate};
 
 /// The bounded-memory result of measuring one operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,33 +165,11 @@ where
     }
     let all: Vec<usize> = (0..points.len()).collect();
     let runs = stream_points(&points, &all, plan, stream, config, &measure)?;
-    let partials = keyed(&all, &runs)?;
+    let mut partials = KeyedPartials::new();
+    for (idx, run) in runs.iter().enumerate() {
+        partials.insert(idx as u64, run.outcome.summary.clone())?;
+    }
     Ok(StreamCampaign { runs, partials })
-}
-
-/// Executes only the design points in `indices` and returns their
-/// summaries keyed by design index — the building block a shard worker
-/// runs on its assigned partition. The union of all shards' partials is
-/// bit-identical to [`run_campaign_stream`]'s `partials` on the full
-/// design, regardless of how the points were partitioned.
-///
-/// An index outside the design fails with
-/// [`CampaignError::BadPointIndex`], a repeated one with
-/// [`CampaignError::DuplicatePointIndex`].
-pub fn run_campaign_stream_subset<F>(
-    design: &Design,
-    plan: &MeasurementPlan,
-    stream: &StreamConfig,
-    config: &CampaignConfig,
-    indices: &[usize],
-    measure: F,
-) -> Result<KeyedPartials<StreamingSummary>, CampaignError>
-where
-    F: Fn(&RunPoint, &mut SimRng) -> f64 + Sync,
-{
-    let points = subset_points(design, indices)?;
-    let runs = stream_points(&points, indices, plan, stream, config, &measure)?;
-    Ok(keyed(indices, &runs)?)
 }
 
 /// Unions shard partials into one keyed set. The union is
@@ -220,14 +198,21 @@ pub struct StreamResume {
     pub partials: KeyedPartials<StreamingSummary>,
 }
 
-/// [`run_campaign_stream_subset`] with crash-consistent journaling:
-/// each completed point appends a [`PointRecord`] whose `sketch` field
+/// Executes only the design points in `indices` and returns their
+/// summaries keyed by design index — the building block a shard worker
+/// runs on its assigned partition. The union of all shards' partials is
+/// bit-identical to [`run_campaign_stream`]'s `partials` on the full
+/// design, regardless of how the points were partitioned.
+///
+/// Each completed point appends a [`PointRecord`] whose `sketch` field
 /// carries the summary's canonical record (no sample vector — resume
 /// state stays O(sketch) per point). On restart, journaled sketches are
-/// decoded and replayed bit-exactly instead of re-measuring.
+/// decoded and replayed bit-exactly instead of re-measuring. The points
+/// run first and are appended afterwards, in `indices` order.
 ///
-/// The points run first and are appended afterwards, in `indices` order;
-/// index errors are those of [`run_campaign_stream_subset`].
+/// An index outside the design fails with
+/// [`CampaignError::BadPointIndex`], a repeated one with
+/// [`CampaignError::DuplicatePointIndex`].
 pub fn run_campaign_stream_journaled_subset<F>(
     design: &Design,
     plan: &MeasurementPlan,
@@ -281,15 +266,6 @@ where
         points_executed: missing.len(),
         partials,
     })
-}
-
-/// Keys each run's summary by its design index.
-fn keyed(indices: &[usize], runs: &[StreamRun]) -> StatsResult<KeyedPartials<StreamingSummary>> {
-    let mut partials = KeyedPartials::new();
-    for (&idx, run) in indices.iter().zip(runs) {
-        partials.insert(idx as u64, run.outcome.summary.clone())?;
-    }
-    Ok(partials)
 }
 
 /// Measures `indices` (design indices) in streaming mode on the campaign
@@ -487,19 +463,32 @@ mod tests {
         };
         let whole =
             run_campaign_stream(&demo_design(), &plan, &stream_cfg, &config, demo_measure).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("scibench-stream-shards-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         for shards in [1usize, 2, 4] {
             let parts: Vec<_> = (0..shards)
                 .map(|s| {
                     let mine: Vec<usize> = (0..4).filter(|i| i % shards == s).collect();
-                    run_campaign_stream_subset(
+                    // A fresh journal per shard: every point is measured.
+                    let path = dir.join(format!("{shards}-{s}.journal"));
+                    let _ = std::fs::remove_file(&path);
+                    let spec = JournalSpec {
+                        path: &path,
+                        code_version: "test",
+                        config_fingerprint: "stream",
+                    };
+                    run_campaign_stream_journaled_subset(
                         &demo_design(),
                         &plan,
                         &stream_cfg,
                         &config,
+                        &spec,
                         &mine,
                         demo_measure,
                     )
                     .unwrap()
+                    .partials
                 })
                 .collect();
             let merged = merge_stream_shards(&parts).unwrap();
@@ -509,6 +498,7 @@ mod tests {
                 "shards={shards}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -585,16 +575,17 @@ mod tests {
         };
         for threads in [1, 2] {
             let config = CampaignConfig { seed: 3, threads };
-            let plain = run_campaign_stream_subset(
+            let repeated = run_campaign_stream_journaled_subset(
                 &demo_design(),
                 &plan,
                 &stream_cfg,
                 &config,
+                &spec,
                 &[2, 2],
                 demo_measure,
             );
             assert_eq!(
-                plain.unwrap_err(),
+                repeated.unwrap_err(),
                 CampaignError::DuplicatePointIndex { index: 2 }
             );
             let journaled = run_campaign_stream_journaled_subset(

@@ -28,6 +28,30 @@ pub struct GridSpec {
     pub bins: usize,
 }
 
+/// Checks that `[lo, hi)` is finite and ascending, `bins` is nonzero and
+/// the per-bin `width` is finite and positive.
+fn check_geometry(lo: f64, hi: f64, bins: usize, width: f64) -> StatsResult<()> {
+    if !(lo.is_finite() && hi.is_finite() && hi > lo) {
+        return Err(StatsError::InvalidParameter {
+            name: "grid range",
+            value: hi - lo,
+        });
+    }
+    if bins == 0 {
+        return Err(StatsError::InvalidParameter {
+            name: "bins",
+            value: 0.0,
+        });
+    }
+    if !(width.is_finite() && width > 0.0) {
+        return Err(StatsError::InvalidParameter {
+            name: "bin width",
+            value: width,
+        });
+    }
+    Ok(())
+}
+
 /// Mergeable fixed-grid histogram/ECDF sketch; see the module docs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSketch {
@@ -45,25 +69,8 @@ impl GridSketch {
     /// finite and ascending, `bins` is zero, or the per-bin width
     /// degenerates to zero.
     pub fn new(spec: GridSpec) -> StatsResult<Self> {
-        if !(spec.lo.is_finite() && spec.hi.is_finite() && spec.hi > spec.lo) {
-            return Err(StatsError::InvalidParameter {
-                name: "grid range",
-                value: spec.hi - spec.lo,
-            });
-        }
-        if spec.bins == 0 {
-            return Err(StatsError::InvalidParameter {
-                name: "bins",
-                value: 0.0,
-            });
-        }
         let width = (spec.hi - spec.lo) / spec.bins as f64;
-        if !(width.is_finite() && width > 0.0) {
-            return Err(StatsError::InvalidParameter {
-                name: "bin width",
-                value: width,
-            });
-        }
+        check_geometry(spec.lo, spec.hi, spec.bins, width)?;
         Ok(Self {
             lo: spec.lo,
             width,
@@ -255,13 +262,28 @@ impl MergeableSummary for GridSketch {
         if counts.is_empty() {
             return Err(StatsError::MalformedSketch("grid record has no bins"));
         }
+        let lo = f64_from_hex(parts[1])?;
+        let width = f64_from_hex(parts[2])?;
+        check_geometry(lo, lo + width * counts.len() as f64, counts.len(), width)?;
+        let n = parse_u64(parts[3])?;
+        let underflow = parse_u64(parts[5])?;
+        let overflow = parse_u64(parts[6])?;
+        let total = counts
+            .iter()
+            .try_fold(underflow, |acc, &c| acc.checked_add(c))
+            .and_then(|t| t.checked_add(overflow));
+        if total != Some(n) {
+            return Err(StatsError::MalformedSketch(
+                "grid counts do not add up to n",
+            ));
+        }
         Ok(Self {
-            lo: f64_from_hex(parts[1])?,
-            width: f64_from_hex(parts[2])?,
-            n: parse_u64(parts[3])?,
+            lo,
+            width,
+            n,
             non_finite: parse_u64(parts[4])?,
-            underflow: parse_u64(parts[5])?,
-            overflow: parse_u64(parts[6])?,
+            underflow,
+            overflow,
             counts,
         })
     }
@@ -374,6 +396,42 @@ mod tests {
         assert_eq!(back, g);
         assert_eq!(back.to_record(), record);
         assert!(GridSketch::from_record("gs1;zz").is_err());
+    }
+
+    #[test]
+    fn malformed_records_are_typed_errors() {
+        let mut g = GridSketch::new(spec()).unwrap();
+        for &x in &[-2.0, 3.3, 7.7, 100.0] {
+            g.push(x);
+        }
+        let record = g.to_record();
+        assert_eq!(
+            GridSketch::from_record(&record).unwrap().to_record(),
+            record
+        );
+
+        let hex = f64_to_hex;
+        let gs1 = |lo: f64, width: f64, n: u64, counts: &str| {
+            format!("gs1;{};{};{n};0;0;0;{counts}", hex(lo), hex(width))
+        };
+        for (what, bad) in [
+            ("negative width", gs1(0.0, -1.0, 1, "1,0")),
+            ("zero width", gs1(0.0, 0.0, 1, "1,0")),
+            ("NaN lo", gs1(f64::NAN, 1.0, 1, "1,0")),
+            (
+                "overflowing count",
+                gs1(0.0, 1.0, 1, "18446744073709551615,1,0"),
+            ),
+            ("n disagrees with counts", gs1(0.0, 1.0, 3, "1,0")),
+        ] {
+            assert!(
+                matches!(
+                    GridSketch::from_record(&bad),
+                    Err(StatsError::MalformedSketch(_) | StatsError::InvalidParameter { .. })
+                ),
+                "{what}: {bad} accepted"
+            );
+        }
     }
 
     #[test]

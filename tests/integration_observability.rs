@@ -15,6 +15,7 @@ use scibench::experiment::resilience::{
     run_campaign_resilient, run_campaign_resilient_traced, RetryPolicy,
 };
 use scibench_sim::rng::SimRng;
+use scibench_stats::quantile::median;
 use scibench_trace::{category, to_chrome_json, validate_chrome_trace, Trace, Tracer};
 
 fn design(sizes: usize) -> Design {
@@ -121,4 +122,56 @@ proptest! {
         // Every point opens a RESILIENCE point-span and an attempt-span.
         prop_assert!(trace.count(category::RESILIENCE) >= 2 * 4);
     }
+}
+
+/// Regression gate: per-point campaign medians under full tracing must
+/// stay within 1% of the untraced medians. The determinism contract
+/// (tracing never touches RNG streams or sample values) makes the
+/// perturbation exactly zero, so the gate asserts bit-equality first —
+/// any relaxation of the contract trips the 1% check before drifting.
+#[test]
+fn tracing_leaves_campaign_medians_unperturbed() {
+    let trace_design = Design::new(vec![
+        Factor::new("system", &["a", "b"]),
+        Factor::numeric("size", &[8.0, 64.0]),
+    ]);
+    let trace_plan = MeasurementPlan::new("op").stopping(StoppingRule::FixedCount(60));
+    let trace_measure = |point: &RunPoint, rng: &mut SimRng| {
+        let base = if point.level(0) == "a" { 1.0 } else { 1.3 };
+        base + rng.uniform() * 0.2
+    };
+    let config = CampaignConfig {
+        seed: 2015,
+        threads: 4,
+    };
+    let plain = run_campaign(&trace_design, &trace_plan, &config, trace_measure)
+        .expect("untraced campaign");
+    let tracer = Tracer::new();
+    let traced = run_campaign_scoped_traced(
+        &trace_design,
+        &trace_plan,
+        &config,
+        Some(&tracer),
+        || (),
+        |(), point, rng| trace_measure(point, rng),
+    )
+    .expect("traced campaign");
+    assert_eq!(
+        plain, traced,
+        "tracing perturbed the campaign result (must be bit-identical)"
+    );
+    for (p, t) in plain.runs.iter().zip(&traced.runs) {
+        let mp = median(&p.outcome.samples).expect("untraced samples");
+        let mt = median(&t.outcome.samples).expect("traced samples");
+        let rel = ((mt - mp) / mp).abs();
+        assert!(
+            rel < 0.01,
+            "traced median {mt} deviates {rel:.4} (>1%) from untraced {mp}"
+        );
+    }
+    let trace = tracer.drain();
+    assert!(
+        trace.count(category::CAMPAIGN) > 0,
+        "traced campaign recorded no campaign events"
+    );
 }

@@ -19,8 +19,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use scibench::experiment::stream::{
-    merge_stream_shards, run_campaign_stream, run_campaign_stream_journaled_subset,
-    run_campaign_stream_subset, run_stream,
+    merge_stream_shards, run_campaign_stream, run_campaign_stream_journaled_subset, run_stream,
 };
 use scibench::experiment::{
     CampaignConfig, Design, Factor, JournalSpec, MeasurementPlan, RunPoint, StoppingRule,
@@ -103,9 +102,9 @@ fn million_sample_point_runs_in_bounded_memory() {
 }
 
 /// Threads {1, 2, 8} × shards {1, 2, 4}: every execution shape must
-/// produce the identical partials record, whether the shards run
-/// in-process ([`run_campaign_stream_subset`]) or through journals
-/// ([`collect_stream_partials`]).
+/// produce the identical partials record, whether the shards' partials
+/// are unioned in-process ([`merge_stream_shards`]) or collected from
+/// their journals ([`collect_stream_partials`]).
 #[test]
 fn partials_bit_identical_across_threads_and_shards() {
     let design = demo_design();
@@ -141,20 +140,31 @@ fn partials_bit_identical_across_threads_and_shards() {
         assert_eq!(whole.partials.to_record(), want, "threads={threads}");
 
         for shards in [1usize, 2, 4] {
-            // In-process sharding: strided partition, then union.
+            // In-process sharding: strided partition, each shard into a
+            // fresh journal, then union.
+            let dir = tmp_dir(&format!("threads-{threads}-shards-{shards}"));
             let parts: Vec<KeyedPartials<StreamingSummary>> = (0..shards)
                 .map(|s| {
-                    run_campaign_stream_subset(
+                    let path = shard_journal_path(&dir, s);
+                    let spec = JournalSpec {
+                        path: &path,
+                        code_version: "itest",
+                        config_fingerprint: "stream",
+                    };
+                    run_campaign_stream_journaled_subset(
                         &design,
                         &plan,
                         &stream_cfg,
                         &config,
+                        &spec,
                         &shard_assignment(4, shards, s),
                         demo_measure,
                     )
                     .unwrap()
+                    .partials
                 })
                 .collect();
+            let _ = std::fs::remove_dir_all(&dir);
             let merged = merge_stream_shards(&parts).unwrap();
             assert_eq!(
                 merged.to_record(),
