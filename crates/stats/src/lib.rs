@@ -78,10 +78,11 @@ pub(crate) fn validate_samples(xs: &[f64]) -> StatsResult<()> {
     Ok(())
 }
 
-/// Returns a sorted copy of the input samples.
+/// Returns a copy of the input samples sorted in IEEE total order, so
+/// `-0.0` sorts before `0.0` whatever order they arrived in.
 pub(crate) fn sorted_copy(xs: &[f64]) -> Vec<f64> {
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("samples validated finite"));
+    v.sort_by(f64::total_cmp);
     v
 }
 

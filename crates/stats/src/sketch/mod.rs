@@ -241,24 +241,27 @@ impl StreamingSummary {
 
     /// The `p`-quantile: exact below the threshold, t-digest above it.
     pub fn quantile(&self, p: f64) -> StatsResult<f64> {
+        self.quantiles([p]).map(|[q]| q)
+    }
+
+    /// Several quantiles, bit-identical to one [`StreamingSummary::quantile`]
+    /// call per entry, from one sort (exact) or one flush (digest).
+    fn quantiles<const N: usize>(&self, ps: [f64; N]) -> StatsResult<[f64; N]> {
         match &self.repr {
             Repr::Exact(values) => {
                 if values.is_empty() {
                     return Err(StatsError::EmptySample);
                 }
-                if !(0.0..=1.0).contains(&p) {
+                if let Some(&p) = ps.iter().find(|p| !(0.0..=1.0).contains(*p)) {
                     return Err(StatsError::InvalidProbability {
                         name: "p",
                         value: p,
                     });
                 }
-                Ok(quantile_sorted(
-                    &crate::sorted_copy(values),
-                    p,
-                    QuantileMethod::Interpolated,
-                ))
+                let sorted = crate::sorted_copy(values);
+                Ok(ps.map(|p| quantile_sorted(&sorted, p, QuantileMethod::Interpolated)))
             }
-            Repr::Digest(d) => d.quantile(p),
+            Repr::Digest(d) => d.quantiles(ps),
         }
     }
 
@@ -269,11 +272,13 @@ impl StreamingSummary {
 
     /// Min / quartiles / max. Extrema are exact in both regimes.
     pub fn five_number(&self) -> StatsResult<FiveNumberSummary> {
+        let min = self.min().ok_or(StatsError::EmptySample)?;
+        let [q1, median, q3] = self.quantiles([0.25, 0.5, 0.75])?;
         Ok(FiveNumberSummary {
-            min: self.min().ok_or(StatsError::EmptySample)?,
-            q1: self.quantile(0.25)?,
-            median: self.quantile(0.5)?,
-            q3: self.quantile(0.75)?,
+            min,
+            q1,
+            median,
+            q3,
             max: self.max().ok_or(StatsError::EmptySample)?,
         })
     }
@@ -298,10 +303,15 @@ impl StreamingSummary {
                 // Rank r (1-based) sits at empirical probability
                 // (r − 0.5)/n; read the sketch's order statistics there.
                 let nf = n as f64;
+                let [estimate, lower, upper] = d.quantiles([
+                    p,
+                    (ranks.lower as f64 - 0.5) / nf,
+                    (ranks.upper as f64 - 0.5) / nf,
+                ])?;
                 Ok(ConfidenceInterval {
-                    estimate: d.quantile(p)?,
-                    lower: d.quantile((ranks.lower as f64 - 0.5) / nf)?,
-                    upper: d.quantile((ranks.upper as f64 - 0.5) / nf)?,
+                    estimate,
+                    lower,
+                    upper,
                     confidence,
                 })
             }
@@ -329,15 +339,14 @@ impl StreamingSummary {
     /// Converts the exact buffer into a t-digest. The buffer is sorted
     /// first so the resulting digest is a pure function of the multiset of
     /// samples — insertion order never changes the promoted sketch's bits.
-    fn promote(&mut self) -> StatsResult<()> {
+    fn promote(&mut self) {
         if let Repr::Exact(values) = &self.repr {
-            let mut digest = TDigest::new(self.digest_delta)?;
+            let mut digest = TDigest::with_checked_delta(self.digest_delta);
             for &x in &crate::sorted_copy(values) {
                 digest.push(x);
             }
             self.repr = Repr::Digest(digest);
         }
-        Ok(())
     }
 }
 
@@ -361,7 +370,7 @@ impl MergeableSummary for StreamingSummary {
             }
         };
         if over {
-            self.promote().expect("validated at construction");
+            self.promote();
         }
     }
 
@@ -382,11 +391,11 @@ impl MergeableSummary for StreamingSummary {
             (Repr::Exact(a), Repr::Exact(b)) => {
                 a.extend_from_slice(b);
                 if a.len() > self.threshold {
-                    self.promote()?;
+                    self.promote();
                 }
             }
             (Repr::Exact(_), Repr::Digest(od)) => {
-                self.promote()?;
+                self.promote();
                 if let Repr::Digest(d) = &mut self.repr {
                     d.merge_from(od)?;
                 }
@@ -621,6 +630,54 @@ mod tests {
         assert_eq!(s.min().unwrap().to_bits(), sorted[0].to_bits());
         assert_eq!(s.max().unwrap().to_bits(), sorted[n - 1].to_bits());
         assert!(s.resident_bytes() < n * 8 / 4, "{}", s.resident_bytes());
+    }
+
+    #[test]
+    fn multi_quantile_reads_match_single_reads_bitwise() {
+        // 40 500 digest pushes leave 500 samples in the buffer (δ = 200
+        // flushes every 1600), so every read below flushes a temporary.
+        let n = 40_500;
+        let s = filled(cfg(1024), &pareto_like(n));
+        assert!(!s.is_exact());
+        for (p, confidence) in [(0.5, 0.95), (0.9, 0.99), (0.01, 0.9)] {
+            let ci = s.quantile_ci(p, confidence).unwrap();
+            let ranks = quantile_ci_ranks(n, p, confidence).unwrap();
+            let at_rank = |r: usize| s.quantile((r as f64 - 0.5) / n as f64).unwrap();
+            assert_eq!(
+                [ci.estimate, ci.lower, ci.upper].map(f64::to_bits),
+                [
+                    s.quantile(p).unwrap(),
+                    at_rank(ranks.lower),
+                    at_rank(ranks.upper)
+                ]
+                .map(f64::to_bits),
+                "p={p}"
+            );
+        }
+        for s in [&s, &filled(cfg(4096), &pareto_like(3_000))] {
+            let five = s.five_number().unwrap();
+            assert_eq!(
+                [five.q1, five.median, five.q3].map(f64::to_bits),
+                [0.25, 0.5, 0.75].map(|p| s.quantile(p).unwrap().to_bits()),
+                "{}",
+                s.mode_label()
+            );
+        }
+    }
+
+    #[test]
+    fn ingest_and_query_library_code_has_no_unwrap_expect_or_panic() {
+        // Pushes, merges, records and queries report failures as typed
+        // errors; none of them may panic.
+        for (file, source) in [
+            ("sketch/mod.rs", include_str!("mod.rs")),
+            ("sketch/tdigest.rs", include_str!("tdigest.rs")),
+        ] {
+            let library = source.split("#[cfg(test)]").next().unwrap_or(source);
+            for needle in [".unwrap()", ".expect(", "panic!("] {
+                assert!(!library.contains(needle), "non-test {file} uses {needle}");
+            }
+        }
     }
 
     #[test]

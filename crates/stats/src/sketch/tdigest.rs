@@ -1,8 +1,9 @@
 //! A merging t-digest quantile sketch (Dunning & Ertl).
 //!
 //! Centroids are kept sorted by mean; incoming samples buffer and are
-//! periodically folded in by a single merge pass bounded by the k₁ scale
-//! function `k(q) = δ·(asin(2q−1)/π + 1/2)`, which keeps centroids small
+//! periodically sorted, merged linearly with the centroids, and folded in
+//! by a single pass bounded by the k₁ scale function
+//! `k(q) = δ·(asin(2q−1)/π + 1/2)`, which keeps centroids small
 //! near the tails (accurate extreme quantiles — exactly where latency
 //! distributions matter) and large in the middle. Memory is O(δ)
 //! regardless of how many samples stream through.
@@ -10,6 +11,8 @@
 //! Every operation is a pure function of the current state, so a digest
 //! built from the same sequence of pushes has identical bits on every
 //! thread/shard — the property the campaign-level determinism rests on.
+
+use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
@@ -61,6 +64,104 @@ fn k_scale(q: f64, delta: f64) -> f64 {
     delta * ((2.0 * q - 1.0).clamp(-1.0, 1.0).asin() / std::f64::consts::PI + 0.5)
 }
 
+/// Half-width of the q-window inside which [`q_window`] defers to the
+/// exact `k_scale` comparison.
+///
+/// Both sides of that comparison carry rounding error: `k_scale` and the
+/// `sin` inversion are each accurate to a few ulp of δ in k (`asin`/`sin`
+/// within an ulp or two, plus a few roundings around them, including the
+/// one in `2q − 1`). The k₁ slope dk/dq is at least 2δ/π (the minimum is
+/// at q = ½; it grows toward the tails), so a k-error of c·δ·2⁻⁵² moves
+/// the crossing point by at most (π/2)·c·2⁻⁵² in q — below 10⁻¹⁴ for any
+/// plausible c, five orders of magnitude inside this margin. A q further
+/// than the margin from `q_lim` therefore gets the same answer from the
+/// exact comparison, which only the q inside the window still pay for.
+const Q_MARGIN: f64 = 1e-9;
+
+/// The k₁ bound `k_scale(q) ≤ k_limit`, inverted once into q-space:
+/// `q_lim = (sin(π(k_limit/δ − ½)) + 1)/2`. Returns `(merge_below,
+/// emit_above)` = `q_lim ∓ Q_MARGIN`: every q below the first satisfies
+/// the bound and every q above the second violates it, so only a q inside
+/// the window needs the exact comparison. Since `k_scale ≤ δ`, a
+/// `k_limit > δ` admits every q; a NaN limit yields a NaN window, which
+/// sends every q to the exact comparison.
+fn q_window(k_limit: f64, delta: f64) -> (f64, f64) {
+    if k_limit > delta {
+        return (f64::INFINITY, f64::INFINITY);
+    }
+    let q_lim = ((std::f64::consts::PI * (k_limit / delta - 0.5)).sin() + 1.0) / 2.0;
+    (q_lim - Q_MARGIN, q_lim + Q_MARGIN)
+}
+
+/// Maps `x` to a `u64` whose unsigned order is `f64::total_cmp` order, so
+/// the buffer sorts as integers (cheaper per comparison than
+/// `total_cmp`). Equal keys are equal bits, so an unstable sort is
+/// deterministic.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`total_order_key`].
+fn from_total_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// Ascending `(mean, weight)` in IEEE total order. Two centroids compare
+/// equal only when both fields have identical bits, so tied centroids are
+/// interchangeable and every sort under this order yields the same bits
+/// (and `-0.0` sorts before `0.0` whatever order they arrived in).
+fn centroid_order(a: &Centroid, b: &Centroid) -> Ordering {
+    a.mean
+        .total_cmp(&b.mean)
+        .then(a.weight.total_cmp(&b.weight))
+}
+
+/// Appends the merge of two runs ascending under [`centroid_order`] to
+/// `out`, taking from `a` on ties.
+fn merge_runs<T: Copy>(
+    out: &mut Vec<Centroid>,
+    a: &[Centroid],
+    b: &[T],
+    centroid: impl Fn(T) -> Centroid,
+) {
+    let mut rest = b.iter().map(|&y| centroid(y)).peekable();
+    for x in a {
+        while let Some(y) = rest.next_if(|y| centroid_order(y, x).is_lt()) {
+            out.push(y);
+        }
+        out.push(*x);
+    }
+    out.extend(rest);
+}
+
+/// `f64::min` that breaks the `-0.0`/`0.0` tie toward `-0.0`, so the
+/// tracked extremum does not depend on which zero arrived first.
+fn total_min(a: f64, b: f64) -> f64 {
+    if a == b {
+        f64::from_bits(a.to_bits() | b.to_bits())
+    } else {
+        a.min(b)
+    }
+}
+
+/// `f64::max` that breaks the `-0.0`/`0.0` tie toward `0.0`.
+fn total_max(a: f64, b: f64) -> f64 {
+    if a == b {
+        f64::from_bits(a.to_bits() & b.to_bits())
+    } else {
+        a.max(b)
+    }
+}
+
 impl TDigest {
     /// Creates an empty digest with compression parameter `delta`
     /// (10 ≤ δ ≤ 10 000; ~100–500 is typical, larger is more accurate).
@@ -71,7 +172,15 @@ impl TDigest {
                 value: delta as f64,
             });
         }
-        Ok(Self {
+        Ok(Self::with_checked_delta(delta))
+    }
+
+    /// An empty digest for a δ already range-checked by [`TDigest::new`]
+    /// or [`parse_delta`] (as [`super::StreamingSummary`] does when it is
+    /// configured or decoded), so promotion cannot fail mid-stream.
+    pub(crate) fn with_checked_delta(delta: u32) -> Self {
+        debug_assert!(DELTA_RANGE.contains(&delta));
+        Self {
             delta,
             centroids: Vec::new(),
             buffer: Vec::new(),
@@ -79,7 +188,7 @@ impl TDigest {
             non_finite: 0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-        })
+        }
     }
 
     /// The compression parameter δ.
@@ -116,42 +225,49 @@ impl TDigest {
 
     /// Folds the buffer (and any extra centroids) into the centroid list
     /// with one bounded merge pass.
-    fn compress_with(&mut self, extra: Vec<Centroid>) {
-        let mut pending: Vec<Centroid> =
-            Vec::with_capacity(self.centroids.len() + self.buffer.len() + extra.len());
-        pending.append(&mut self.centroids);
-        pending.extend(self.buffer.drain(..).map(|x| Centroid {
-            mean: x,
+    ///
+    /// Only the unsorted inputs are sorted: the centroid list is already
+    /// ascending except where tied means end up with weights out of order
+    /// (or a decoded record lists them unsorted), so a run-detecting
+    /// stable sort restores `(mean, weight)` order in linear time, and the
+    /// three runs then merge linearly. The pass compares cumulative q
+    /// against the k₁ bound inverted once per emitted centroid
+    /// ([`q_window`]) instead of evaluating `asin` per element.
+    fn compress_with(&mut self, mut extra: Vec<Centroid>) {
+        self.centroids.sort_by(centroid_order);
+        let mut samples: Vec<u64> = self.buffer.drain(..).map(total_order_key).collect();
+        samples.sort_unstable();
+        extra.sort_unstable_by(centroid_order);
+        let mut pending = Vec::with_capacity(self.centroids.len() + samples.len());
+        merge_runs(&mut pending, &self.centroids, &samples, |key| Centroid {
+            mean: from_total_order_key(key),
             weight: 1.0,
-        }));
-        pending.extend(extra);
-        if pending.is_empty() {
-            return;
-        }
-        // Total order on (mean, weight): all values are finite, and equal
-        // (mean, weight) pairs are interchangeable, so the sorted sequence
-        // is a pure function of the multiset.
-        pending.sort_by(|a, b| {
-            (a.mean, a.weight)
-                .partial_cmp(&(b.mean, b.weight))
-                .expect("centroids are finite")
         });
+        if !extra.is_empty() {
+            let mut with_extra = Vec::with_capacity(pending.len() + extra.len());
+            merge_runs(&mut with_extra, &pending, &extra, |c| c);
+            pending = with_extra;
+        }
         let total: f64 = pending.iter().map(|c| c.weight).sum();
         let delta = self.delta as f64;
-        let mut out: Vec<Centroid> = Vec::with_capacity(2 * self.delta as usize);
         let mut iter = pending.into_iter();
-        let mut cur = iter.next().expect("pending non-empty");
+        let Some(mut cur) = iter.next() else {
+            return;
+        };
+        let mut out: Vec<Centroid> = Vec::with_capacity(2 * self.delta as usize);
         let mut w_done = 0.0;
         let mut k_limit = k_scale(0.0, delta) + 1.0;
+        let (mut merge_below, mut emit_above) = q_window(k_limit, delta);
         for c in iter {
             let q = (w_done + cur.weight + c.weight) / total;
-            if k_scale(q, delta) <= k_limit {
+            if q < merge_below || (q <= emit_above && k_scale(q, delta) <= k_limit) {
                 // Weighted incremental mean keeps the update stable.
                 cur.mean += c.weight / (cur.weight + c.weight) * (c.mean - cur.mean);
                 cur.weight += c.weight;
             } else {
                 w_done += cur.weight;
                 k_limit = k_scale(w_done / total, delta) + 1.0;
+                (merge_below, emit_above) = q_window(k_limit, delta);
                 out.push(cur);
                 cur = c;
             }
@@ -171,20 +287,36 @@ impl TDigest {
     /// The `p`-quantile (`0 ≤ p ≤ 1`), interpolated between centroid
     /// means, anchored at the exact min/max.
     pub fn quantile(&self, p: f64) -> StatsResult<f64> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(StatsError::InvalidProbability {
-                name: "p",
-                value: p,
-            });
-        }
-        if self.n == 0 {
-            return Err(StatsError::EmptySample);
+        self.quantiles([p]).map(|[q]| q)
+    }
+
+    /// Several quantiles from one flush: bit-identical to calling
+    /// [`TDigest::quantile`] once per entry (errors included), but the
+    /// buffer is folded into a temporary only once. `self` is never
+    /// flushed in place, which would move the compression phase and hence
+    /// the bits of every later result.
+    pub(crate) fn quantiles<const N: usize>(&self, ps: [f64; N]) -> StatsResult<[f64; N]> {
+        for p in ps {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(StatsError::InvalidProbability {
+                    name: "p",
+                    value: p,
+                });
+            }
+            if self.n == 0 {
+                return Err(StatsError::EmptySample);
+            }
         }
         if !self.buffer.is_empty() {
             let mut flushed = self.clone();
             flushed.compress_with(Vec::new());
-            return flushed.quantile(p);
+            return Ok(ps.map(|p| flushed.flushed_quantile(p)));
         }
+        Ok(ps.map(|p| self.flushed_quantile(p)))
+    }
+
+    /// [`TDigest::quantile`] on a digest whose buffer is empty.
+    fn flushed_quantile(&self, p: f64) -> f64 {
         let total: f64 = self.centroids.iter().map(|c| c.weight).sum();
         let index = p * total;
         // Centroid i covers [cum, cum + w); its mean sits at the midpoint.
@@ -200,7 +332,7 @@ impl TDigest {
                 } else {
                     1.0
                 };
-                return Ok(prev_mean + t * (c.mean - prev_mean));
+                return prev_mean + t * (c.mean - prev_mean);
             }
             prev_mid = mid;
             prev_mean = c.mean;
@@ -212,7 +344,7 @@ impl TDigest {
         } else {
             1.0
         };
-        Ok(prev_mean + t * (self.max - prev_mean))
+        prev_mean + t * (self.max - prev_mean)
     }
 
     /// Median estimate.
@@ -228,8 +360,8 @@ impl MergeableSummary for TDigest {
             return;
         }
         self.n += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
+        self.min = total_min(self.min, x);
+        self.max = total_max(self.max, x);
         self.buffer.push(x);
         if self.buffer.len() >= self.buffer_capacity() {
             self.compress_with(Vec::new());
@@ -242,8 +374,8 @@ impl MergeableSummary for TDigest {
         }
         self.n += other.n;
         self.non_finite += other.non_finite;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = total_min(self.min, other.min);
+        self.max = total_max(self.max, other.max);
         let mut extra = other.centroids.clone();
         extra.extend(other.buffer.iter().map(|&x| Centroid {
             mean: x,
@@ -321,6 +453,287 @@ impl MergeableSummary for TDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The compression pass before the linear merge, verbatim: re-sort
+    /// every centroid plus the buffer, `asin` per element. The oracle the
+    /// differential tests hold the production pass to, bit for bit.
+    impl TDigest {
+        fn oracle_compress_with(&mut self, extra: Vec<Centroid>) {
+            let mut pending: Vec<Centroid> =
+                Vec::with_capacity(self.centroids.len() + self.buffer.len() + extra.len());
+            pending.append(&mut self.centroids);
+            pending.extend(self.buffer.drain(..).map(|x| Centroid {
+                mean: x,
+                weight: 1.0,
+            }));
+            pending.extend(extra);
+            if pending.is_empty() {
+                return;
+            }
+            // Total order on (mean, weight): all values are finite, and equal
+            // (mean, weight) pairs are interchangeable, so the sorted sequence
+            // is a pure function of the multiset.
+            pending.sort_by(|a, b| {
+                (a.mean, a.weight)
+                    .partial_cmp(&(b.mean, b.weight))
+                    .expect("centroids are finite")
+            });
+            let total: f64 = pending.iter().map(|c| c.weight).sum();
+            let delta = self.delta as f64;
+            let mut out: Vec<Centroid> = Vec::with_capacity(2 * self.delta as usize);
+            let mut iter = pending.into_iter();
+            let mut cur = iter.next().expect("pending non-empty");
+            let mut w_done = 0.0;
+            let mut k_limit = k_scale(0.0, delta) + 1.0;
+            for c in iter {
+                let q = (w_done + cur.weight + c.weight) / total;
+                if k_scale(q, delta) <= k_limit {
+                    // Weighted incremental mean keeps the update stable.
+                    cur.mean += c.weight / (cur.weight + c.weight) * (c.mean - cur.mean);
+                    cur.weight += c.weight;
+                } else {
+                    w_done += cur.weight;
+                    k_limit = k_scale(w_done / total, delta) + 1.0;
+                    out.push(cur);
+                    cur = c;
+                }
+            }
+            out.push(cur);
+            self.centroids = out;
+        }
+
+        fn oracle_push(&mut self, x: f64) {
+            if !x.is_finite() {
+                self.non_finite += 1;
+                return;
+            }
+            self.n += 1;
+            self.min = self.min.min(x);
+            self.max = self.max.max(x);
+            self.buffer.push(x);
+            if self.buffer.len() >= self.buffer_capacity() {
+                self.oracle_compress_with(Vec::new());
+            }
+        }
+
+        fn oracle_merge_from(&mut self, other: &Self) {
+            self.n += other.n;
+            self.non_finite += other.non_finite;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            let mut extra = other.centroids.clone();
+            extra.extend(other.buffer.iter().map(|&x| Centroid {
+                mean: x,
+                weight: 1.0,
+            }));
+            self.oracle_compress_with(extra);
+        }
+
+        fn oracle_quantile(&self, p: f64) -> f64 {
+            let mut flushed = self.clone();
+            if !flushed.buffer.is_empty() {
+                flushed.oracle_compress_with(Vec::new());
+            }
+            flushed.flushed_quantile(p)
+        }
+    }
+
+    const DIFFERENTIAL_DELTAS: [u32; 6] = [10, 37, 100, 200, 500, 1000];
+    const DIFFERENTIAL_PS: [f64; 7] = [0.0, 0.001, 0.01, 0.5, 0.9, 0.99, 1.0];
+
+    /// Deterministic uniform draws in [0, 1) (splitmix64).
+    fn uniforms(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        }
+    }
+
+    /// The adversarial streams: uniform, 7-value heavy ties, `exp(±350)`
+    /// dynamic range and a negative heavy tail.
+    fn differential_streams(n: usize, seed: u64) -> Vec<(&'static str, Vec<f64>)> {
+        let mut u = uniforms(seed);
+        let mut draw = |f: fn(f64) -> f64| (0..n).map(|_| f(u())).collect::<Vec<f64>>();
+        vec![
+            ("uniform", draw(|u| 1000.0 * u)),
+            ("seven ties", draw(|u| (7.0 * u).floor() + 1.0)),
+            ("exp(±350)", draw(|u| (700.0 * u - 350.0).exp())),
+            ("negative tail", draw(|u| -(1.0 - u).powf(-1.5))),
+        ]
+    }
+
+    /// Every bit of a digest's state, its resident size included.
+    fn state_bits(d: &TDigest) -> Vec<u64> {
+        let mut bits = vec![
+            d.n,
+            d.non_finite,
+            d.min.to_bits(),
+            d.max.to_bits(),
+            d.resident_bytes() as u64,
+            d.centroids.len() as u64,
+        ];
+        bits.extend(
+            d.centroids
+                .iter()
+                .flat_map(|c| [c.mean, c.weight].map(f64::to_bits)),
+        );
+        bits.extend(d.buffer.iter().map(|x| x.to_bits()));
+        bits
+    }
+
+    fn assert_quantiles_match(new: &TDigest, oracle: &TDigest, what: &str) {
+        for p in DIFFERENTIAL_PS {
+            assert_eq!(
+                new.quantile(p).unwrap().to_bits(),
+                oracle.oracle_quantile(p).to_bits(),
+                "{what}: p={p}"
+            );
+        }
+    }
+
+    #[test]
+    fn linear_merge_pass_is_bit_identical_to_the_oracle() {
+        for delta in DIFFERENTIAL_DELTAS {
+            let cap = BUFFER_FACTOR * delta as usize;
+            let n = 5 * cap + cap / 3;
+            for (name, xs) in differential_streams(n, u64::from(delta)) {
+                let what = format!("{name}, delta={delta}");
+                let mut new = TDigest::new(delta).unwrap();
+                let mut oracle = new.clone();
+                for (i, &x) in xs.iter().enumerate() {
+                    new.push(x);
+                    oracle.oracle_push(x);
+                    if new.buffer.is_empty() {
+                        assert_eq!(state_bits(&new), state_bits(&oracle), "{what}: push {i}");
+                    }
+                    if i % (cap / 3 + 1) == cap / 5 {
+                        assert_quantiles_match(&new, &oracle, &format!("{what}: push {i}"));
+                    }
+                }
+                assert_eq!(state_bits(&new), state_bits(&oracle), "{what}");
+                assert_quantiles_match(&new, &oracle, &what);
+                assert!(new.centroids.len() > 1, "{what}: stream never compressed");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_from_is_bit_identical_to_the_oracle() {
+        for delta in DIFFERENTIAL_DELTAS {
+            let cap = BUFFER_FACTOR * delta as usize;
+            for (name, xs) in differential_streams(3 * cap, 7 + u64::from(delta)) {
+                // Parts of different sizes: some flushed, some holding only
+                // a partial buffer, so `extra` mixes centroids and samples.
+                let mut parts: Vec<TDigest> = Vec::new();
+                for chunk in xs.chunks(cap + cap / 2 + 1) {
+                    let (head, tail) = chunk.split_at(chunk.len() / 3);
+                    for sub in [head, tail] {
+                        let mut d = TDigest::new(delta).unwrap();
+                        sub.iter().for_each(|&x| d.push(x));
+                        parts.push(d);
+                    }
+                }
+                let mut new = parts[0].clone();
+                let mut oracle = parts[0].clone();
+                for (i, part) in parts.iter().enumerate().skip(1) {
+                    let what = format!("{name}, delta={delta}: merge {i}");
+                    new.merge_from(part).unwrap();
+                    oracle.oracle_merge_from(part);
+                    assert_eq!(state_bits(&new), state_bits(&oracle), "{what}");
+                    assert_quantiles_match(&new, &oracle, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_unsorted_centroids_compress_like_the_oracle() {
+        // A record may list centroids in any order; compression must still
+        // see them in `(mean, weight)` order, as the oracle's full sort does.
+        let mut d = TDigest::new(37).unwrap();
+        let mut u = uniforms(3);
+        for _ in 0..2_000 {
+            d.push((7.0 * u()).floor());
+        }
+        let record = d.to_record();
+        let (head, centroids) = record.rsplit_once(';').unwrap();
+        let reversed: Vec<&str> = centroids.split(',').rev().collect();
+        let mut new = TDigest::from_record(&format!("{head};{}", reversed.join(","))).unwrap();
+        let mut oracle = new.clone();
+        assert_quantiles_match(&new, &oracle, "decoded");
+        for _ in 0..1_000 {
+            let x = (7.0 * u()).floor();
+            new.push(x);
+            oracle.oracle_push(x);
+        }
+        assert_eq!(state_bits(&new), state_bits(&oracle));
+        assert_quantiles_match(&new, &oracle, "decoded, then pushed");
+    }
+
+    #[test]
+    fn signed_zero_order_does_not_leak_into_records() {
+        let tail = (1..5000).map(f64::from);
+        let pushed = |zeros: [f64; 2]| {
+            let mut d = TDigest::new(200).unwrap();
+            zeros
+                .into_iter()
+                .chain(tail.clone())
+                .for_each(|x| d.push(x));
+            d
+        };
+        let (neg_first, pos_first) = (pushed([-0.0, 0.0]), pushed([0.0, -0.0]));
+        assert_eq!(neg_first.to_record(), pos_first.to_record());
+        assert_eq!(neg_first.min().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(neg_first.max(), Some(4999.0));
+
+        let one = |x: f64| {
+            let mut d = TDigest::new(200).unwrap();
+            d.push(x);
+            d
+        };
+        let merged = |first: f64, second: f64| {
+            let mut d = pushed([first, 1.0]);
+            d.merge_from(&one(second)).unwrap();
+            d.to_record()
+        };
+        assert_eq!(merged(-0.0, 0.0), merged(0.0, -0.0));
+        let zeros = |first: f64, second: f64| {
+            let mut d = TDigest::new(200).unwrap();
+            d.push(first);
+            d.push(second);
+            let mut base = pushed([2.0, 3.0]);
+            base.merge_from(&d).unwrap();
+            base.to_record()
+        };
+        assert_eq!(zeros(-0.0, 0.0), zeros(0.0, -0.0));
+    }
+
+    #[test]
+    fn multi_quantile_read_matches_single_reads() {
+        let mut d = TDigest::new(100).unwrap();
+        assert!(matches!(d.quantiles([0.5]), Err(StatsError::EmptySample)));
+        assert!(matches!(
+            d.quantiles([1.5, 0.5]),
+            Err(StatsError::InvalidProbability { .. })
+        ));
+        for x in heavy_tailed(3_000) {
+            d.push(x);
+        }
+        assert!(!d.buffer.is_empty());
+        let ps = [0.0, 0.25, 0.5, 0.975, 1.0];
+        let many = d.quantiles(ps).unwrap();
+        for (p, q) in ps.into_iter().zip(many) {
+            assert_eq!(q.to_bits(), d.quantile(p).unwrap().to_bits(), "p={p}");
+        }
+        assert!(matches!(
+            d.quantiles([0.5, -0.1]),
+            Err(StatsError::InvalidProbability { .. })
+        ));
+    }
 
     fn rank_of(sorted: &[f64], x: f64) -> f64 {
         let below = sorted.partition_point(|&v| v <= x);
