@@ -12,6 +12,10 @@
 //!   spawned from a [`WorkerSpec`] command in self-exec worker mode and
 //!   writing its results to its own crash-consistent journal
 //!   (`shard-<s>.journal`);
+//! * a worker's **exit wakes the supervisor** at once: a waiter thread
+//!   per worker drains its stdout pipe and posts an exit notice when the
+//!   pipe reaches EOF, so a finished shard is merged or respawned without
+//!   waiting out a poll tick;
 //! * a **heartbeat watchdog** treats shard-journal growth as liveness:
 //!   a worker whose journal has not grown within
 //!   [`ShardPolicy::heartbeat_timeout_ms`] is killed and respawned on
@@ -26,9 +30,11 @@
 //!   spawn and reported as [`PointFate::Abandoned`] instead of failing
 //!   the campaign;
 //! * a worker that crashes repeatedly **without** ever beginning a point
-//!   (a barren crash — broken binary, bad environment) aborts its shard
-//!   after [`ShardPolicy::max_barren_crashes`] instead of respawning
-//!   forever.
+//!   (a barren crash — broken binary, bad environment), or exits cleanly
+//!   without journaling a point, aborts its shard after
+//!   [`ShardPolicy::max_barren_crashes`] instead of respawning forever;
+//! * no worker outlives a failed supervise call: an error return kills
+//!   and reaps every live worker.
 //!
 //! When all shards finish, the supervisor merges the shard journals into
 //! one [`ResilientCampaignResult`] — bit-identical to a single-process
@@ -39,8 +45,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::time::{Duration, Instant};
 
 use crate::experiment::journal::{
@@ -66,7 +74,11 @@ pub struct ShardPolicy {
     /// hung, killed and respawned. Must comfortably exceed the cost of
     /// one design point, since the journal only grows between points.
     pub heartbeat_timeout_ms: u64,
-    /// Supervisor poll interval.
+    /// Heartbeat cadence: how often the supervisor checks journal growth
+    /// when no worker exit wakes it. A worker exit normally wakes it at
+    /// once; this interval also bounds how late an exit its stdout pipe
+    /// cannot report (a forked grandchild still holds the pipe) is
+    /// noticed.
     pub poll_interval_ms: u64,
     /// Strikes (worker crashes attributed to a point) before the point
     /// is quarantined as poisoned (≥ 1).
@@ -93,6 +105,11 @@ impl Default for ShardPolicy {
 /// worker must execute exactly those design indices through
 /// [`crate::experiment::resilience::run_campaign_resilient_journaled_subset`]
 /// against that journal, then exit 0.
+///
+/// The worker's stdout is a pipe the supervisor drains (its EOF is the
+/// exit signal) and discards; stdin and stderr are null. A worker that
+/// outlives a killed supervisor gets `EPIPE` on its next stdout write,
+/// so worker modes must not print on their normal path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerSpec {
     /// Program to execute (usually `std::env::current_exe()`).
@@ -155,6 +172,13 @@ pub enum ShardError {
         /// The underlying error, rendered.
         error: String,
     },
+    /// Polling a worker process for its exit status failed.
+    Wait {
+        /// The shard whose worker could not be polled.
+        shard: usize,
+        /// The underlying error, rendered.
+        error: String,
+    },
     /// A shard or quarantine journal failed.
     Journal(JournalError),
     /// The merged campaign failed (empty design, nothing survived).
@@ -167,6 +191,9 @@ impl fmt::Display for ShardError {
             ShardError::InvalidPolicy(msg) => write!(f, "invalid shard policy: {msg}"),
             ShardError::Spawn { shard, error } => {
                 write!(f, "failed to spawn worker for shard {shard}: {error}")
+            }
+            ShardError::Wait { shard, error } => {
+                write!(f, "failed to wait for the worker of shard {shard}: {error}")
             }
             ShardError::Journal(err) => write!(f, "shard journal error: {err}"),
             ShardError::Campaign(err) => write!(f, "sharded campaign failed: {err}"),
@@ -241,11 +268,32 @@ fn strike_counts(snapshot: &JournalSnapshot) -> HashMap<usize, usize> {
     counts
 }
 
+/// A worker's exit notice: `(shard, spawn generation)`.
+type ExitNotice = (usize, u64);
+
+/// Base re-check delay for a worker whose stdout reached EOF but which
+/// was not reapable yet (the kernel closes a dying process's files before
+/// it becomes a zombie). The delay doubles per sweep (2, 4, … ms) until
+/// it reaches the poll interval, so a worker that closes its stdout and
+/// keeps running falls back to the heartbeat cadence.
+const EOF_RECHECK: Duration = Duration::from_millis(1);
+
+/// Stack of a waiter thread: it only reads into a small buffer and sends.
+const WAITER_STACK: usize = 64 * 1024;
+
 struct ShardState {
     id: usize,
     assigned: Vec<usize>,
     journal_path: PathBuf,
     child: Option<Child>,
+    /// Workers spawned for this shard; tags exit notices, so one from a
+    /// killed predecessor is recognised as stale.
+    generation: u64,
+    /// Set while the current worker's stdout is at EOF but the worker has
+    /// not been reaped: the delay before the next re-check.
+    recheck: Option<Duration>,
+    /// Point records in the journal when the current worker was spawned.
+    records_at_spawn: usize,
     journal_len: u64,
     last_progress: Instant,
     barren_crashes: usize,
@@ -256,6 +304,31 @@ struct ShardState {
     snapshot: Option<JournalSnapshot>,
 }
 
+impl Drop for ShardState {
+    /// Only an error or panic drops a shard with a live worker: kill and
+    /// reap it, so no worker outlives the call that spawned it.
+    fn drop(&mut self) {
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Drains a worker's stdout to EOF, then posts `notice`. The send fails
+/// harmlessly once the supervise call has returned.
+fn wait_for_eof(mut stdout: ChildStdout, exits: SyncSender<ExitNotice>, notice: ExitNotice) {
+    let mut buf = [0u8; 256];
+    loop {
+        match stdout.read(&mut buf) {
+            Ok(0) => break,
+            Err(e) if e.kind() != ErrorKind::Interrupted => break,
+            _ => {}
+        }
+    }
+    let _ = exits.send(notice);
+}
+
 /// Everything mutable the supervisor tracks across the poll loop.
 struct Supervisor<'a> {
     keys: &'a [JournalKey],
@@ -264,6 +337,7 @@ struct Supervisor<'a> {
     quarantine: Journal,
     strikes: HashMap<usize, usize>,
     report: ShardReport,
+    exits: SyncSender<ExitNotice>,
 }
 
 impl Supervisor<'_> {
@@ -285,20 +359,30 @@ impl Supervisor<'_> {
     }
 
     fn spawn(&mut self, shard: &mut ShardState, remaining: &[usize]) -> Result<(), ShardError> {
-        let child = Command::new(&self.worker.program)
+        let mut child = Command::new(&self.worker.program)
             .args(&self.worker.args)
             .arg(SHARD_JOURNAL_FLAG)
             .arg(&shard.journal_path)
             .arg(SHARD_POINTS_FLAG)
             .arg(format_point_list(remaining))
             .stdin(Stdio::null())
-            .stdout(Stdio::null())
+            .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
             .map_err(|e| ShardError::Spawn {
                 shard: shard.id,
                 error: e.to_string(),
             })?;
+        shard.generation += 1;
+        if let Some(stdout) = child.stdout.take() {
+            let (exits, notice) = (self.exits.clone(), (shard.id, shard.generation));
+            // Detached, not joined: a grandchild that inherited the pipe
+            // can hold it open past this call. If the thread cannot be
+            // started, the periodic sweep still notices the exit.
+            let _ = std::thread::Builder::new()
+                .stack_size(WAITER_STACK)
+                .spawn(move || wait_for_eof(stdout, exits, notice));
+        }
         shard.child = Some(child);
         shard.journal_len = journal_len(&shard.journal_path);
         shard.last_progress = Instant::now();
@@ -314,27 +398,40 @@ impl Supervisor<'_> {
         shard: &mut ShardState,
         snapshot: &JournalSnapshot,
     ) -> Result<(), ShardError> {
-        let counts = strike_counts(snapshot);
+        // Ascending design order, so the quarantine bytes do not depend
+        // on journal or hash order.
+        let mut begun: Vec<usize> = snapshot
+            .dangling_begins
+            .iter()
+            .map(|&(idx, _)| idx)
+            .collect();
+        begun.sort_unstable();
+        begun.dedup();
         let mut struck = false;
-        for &idx in counts.keys() {
+        for idx in begun {
             if !shard.assigned.contains(&idx) || self.poisoned(idx) {
                 continue;
             }
             struck = true;
             self.quarantine.append_begin(idx, self.keys[idx])?;
-            let strikes = self.strikes.entry(idx).or_insert(0);
-            *strikes += 1;
+            *self.strikes.entry(idx).or_insert(0) += 1;
         }
         if struck {
             self.quarantine.sync()?;
         } else {
-            shard.barren_crashes += 1;
-            if shard.barren_crashes > self.policy.max_barren_crashes {
-                shard.aborted = true;
-                self.report.shards_aborted += 1;
-            }
+            self.barren_crash(shard);
         }
         Ok(())
+    }
+
+    /// Charges `shard` a worker death that made no point attributable,
+    /// aborting the shard once the barren budget is spent.
+    fn barren_crash(&mut self, shard: &mut ShardState) {
+        shard.barren_crashes += 1;
+        if shard.barren_crashes > self.policy.max_barren_crashes {
+            shard.aborted = true;
+            self.report.shards_aborted += 1;
+        }
     }
 
     /// Spawns a worker on the points `snapshot` shows unfinished. With
@@ -355,6 +452,7 @@ impl Supervisor<'_> {
             shard.snapshot = Some(snapshot);
             return Ok(false);
         }
+        shard.records_at_spawn = snapshot.records.len();
         self.spawn(shard, &remaining)?;
         Ok(true)
     }
@@ -362,13 +460,18 @@ impl Supervisor<'_> {
     /// Handles the exit of `shard`'s worker: decodes the journal it left
     /// once, charges a failed exit to its points, then respawns the
     /// worker on what remains or finishes the shard. A clean exit with
-    /// work left behind (a worker bug) is respawned the same way.
+    /// work left behind (a worker bug) is respawned the same way, but
+    /// one that journaled no new point counts as a barren crash: it would
+    /// leave the same work behind every time.
     fn worker_exited(&mut self, shard: &mut ShardState, failed: bool) -> Result<(), ShardError> {
         shard.child = None;
+        shard.recheck = None;
         let snapshot = Journal::load_or_empty(&shard.journal_path)?;
         if failed {
             self.report.crashes_observed += 1;
             self.attribute_crash(shard, &snapshot)?;
+        } else if snapshot.records.len() <= shard.records_at_spawn {
+            self.barren_crash(shard);
         }
         if self.spawn_or_finish(shard, snapshot)? {
             self.report.workers_respawned += 1;
@@ -387,7 +490,8 @@ fn journal_len(path: &Path) -> u64 {
 /// Idempotent and restartable: completed points are never re-executed
 /// (they are read back from the shard journals), strikes persist in the
 /// quarantine journal, and killing the *supervisor* mid-campaign merely
-/// means the next invocation resumes where the journals stop.
+/// means the next invocation resumes where the journals stop. On an
+/// error return every live worker has been killed and reaped.
 pub fn supervise_shards(
     design: &Design,
     config: &CampaignConfig,
@@ -422,6 +526,7 @@ pub fn supervise_shards(
 
     let (quarantine, quarantine_snapshot) =
         Journal::open_resume(&quarantine_path(durability.dir), &meta)?;
+    let (exits, exit_notices) = sync_channel(policy.shards);
     let mut supervisor = Supervisor {
         keys: &keys,
         policy,
@@ -432,6 +537,7 @@ pub fn supervise_shards(
             shards: policy.shards,
             ..ShardReport::default()
         },
+        exits,
     };
 
     let mut shards: Vec<ShardState> = (0..policy.shards)
@@ -440,6 +546,9 @@ pub fn supervise_shards(
             assigned: shard_assignment(points.len(), policy.shards, s),
             journal_path: shard_journal_path(durability.dir, s),
             child: None,
+            generation: 0,
+            recheck: None,
+            records_at_spawn: 0,
             journal_len: 0,
             last_progress: Instant::now(),
             barren_crashes: 0,
@@ -462,8 +571,23 @@ pub fn supervise_shards(
     }
 
     let heartbeat = Duration::from_millis(policy.heartbeat_timeout_ms.max(1));
+    let tick = Duration::from_millis(policy.poll_interval_ms.max(1));
     while shards.iter().any(|s| !s.done) {
-        std::thread::sleep(Duration::from_millis(policy.poll_interval_ms.max(1)));
+        // Sleep until a worker exits, an unreaped exit is due for its
+        // re-check, or the heartbeat tick.
+        let timeout = shards
+            .iter()
+            .filter_map(|s| s.recheck)
+            .min()
+            .unwrap_or(tick);
+        if let Ok(notice) = exit_notices.recv_timeout(timeout) {
+            for (id, generation) in std::iter::once(notice).chain(exit_notices.try_iter()) {
+                let shard = &mut shards[id];
+                if shard.generation == generation && shard.child.is_some() {
+                    shard.recheck = Some(EOF_RECHECK);
+                }
+            }
+        }
         for shard in shards.iter_mut().filter(|s| !s.done) {
             let Some(child) = shard.child.as_mut() else {
                 shard.done = true;
@@ -472,6 +596,7 @@ pub fn supervise_shards(
             match child.try_wait() {
                 Ok(Some(status)) => supervisor.worker_exited(shard, !status.success())?,
                 Ok(None) => {
+                    shard.recheck = shard.recheck.map(|d| d * 2).filter(|&d| d < tick);
                     // Heartbeat: journal growth is the liveness signal.
                     let len = journal_len(&shard.journal_path);
                     if len > shard.journal_len {
@@ -485,9 +610,9 @@ pub fn supervise_shards(
                     }
                 }
                 Err(e) => {
-                    return Err(ShardError::Spawn {
+                    return Err(ShardError::Wait {
                         shard: shard.id,
-                        error: format!("wait failed: {e}"),
+                        error: e.to_string(),
                     });
                 }
             }
@@ -497,8 +622,8 @@ pub fn supervise_shards(
     // Merge the shard journals into design order, moving each record
     // out of the snapshot its shard finished with.
     let mut runs: Vec<Option<ResilientRun>> = vec![None; points.len()];
-    for shard in shards {
-        let mut snapshot = match shard.snapshot {
+    for mut shard in shards {
+        let mut snapshot = match shard.snapshot.take() {
             Some(snapshot) => snapshot,
             None => Journal::load_or_empty(&shard.journal_path)?,
         };
@@ -903,6 +1028,230 @@ mod tests {
                 PointFate::Abandoned { .. }
             ));
         }
+    }
+
+    /// Rewrites shard `shard`'s journal under `dir` to hold only the
+    /// records of `keep`, then a dangling begin for each of `begun`, in
+    /// the order given.
+    fn rewrite_shard(dir: &Path, shard: usize, keep: &[usize], begun: &[usize]) {
+        let design = demo_design();
+        let points = design.full_factorial();
+        let meta = JournalMeta::new(&design, config().seed, "test-v1", "cfg");
+        let key = |idx: usize| point_key(&meta, &points[idx]);
+        let path = shard_journal_path(dir, shard);
+        let snapshot = Journal::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let (mut journal, _) = Journal::open_resume(&path, &meta).unwrap();
+        for &idx in keep {
+            journal
+                .append_point(snapshot.record_for(key(idx)).unwrap())
+                .unwrap();
+        }
+        for &idx in begun {
+            journal.append_begin(idx, key(idx)).unwrap();
+        }
+    }
+
+    fn sh(script: &str, extra: &[&str]) -> WorkerSpec {
+        let mut args = vec!["-c".to_owned(), script.to_owned()];
+        args.extend(extra.iter().map(|a| (*a).to_owned()));
+        WorkerSpec {
+            program: PathBuf::from("/bin/sh"),
+            args,
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn worker_exit_wakes_the_supervisor_before_the_poll_interval() {
+        // A one-minute poll interval: only the exit notice can end this
+        // run in seconds.
+        let dir = tmp_dir("exit-wakes");
+        fill_shards(&dir, 2);
+        rewrite_shard(&dir, 1, &[], &[]);
+        let policy = ShardPolicy {
+            shards: 2,
+            heartbeat_timeout_ms: 120_000,
+            poll_interval_ms: 60_000,
+            max_barren_crashes: 0,
+            ..ShardPolicy::default()
+        };
+        let started = Instant::now();
+        let sharded = supervise_shards(
+            &demo_design(),
+            &config(),
+            &policy,
+            &durability(&dir),
+            &sh("exit 1", &[]),
+        )
+        .unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "exit noticed only after {:?}",
+            started.elapsed()
+        );
+        assert_eq!(sharded.report.workers_spawned, 1);
+        assert_eq!(sharded.report.crashes_observed, 1);
+        assert_eq!(sharded.report.shards_aborted, 1);
+        assert_eq!(sharded.result.health.points_completed, 2);
+    }
+
+    /// User plus system CPU time of the calling thread, in clock ticks.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_ticks() -> u64 {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        // Fields from the 3rd on follow the parenthesised command name;
+        // utime and stime are the 14th and 15th.
+        let tail: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+        tail[11].parse::<u64>().unwrap() + tail[12].parse::<u64>().unwrap()
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_supervisor_does_not_busy_poll() {
+        // Two workers that sleep a second and fail without journaling;
+        // with no barren budget each shard aborts after one worker.
+        let dir = tmp_dir("idle");
+        fill_shards(&dir, 2);
+        rewrite_shard(&dir, 0, &[0], &[]);
+        rewrite_shard(&dir, 1, &[1], &[]);
+        let policy = ShardPolicy {
+            max_barren_crashes: 0,
+            ..ShardPolicy::default()
+        };
+        let (ticks, started) = (thread_cpu_ticks(), Instant::now());
+        let sharded = supervise_shards(
+            &demo_design(),
+            &config(),
+            &policy,
+            &durability(&dir),
+            &sh("sleep 1; exit 1", &[]),
+        )
+        .unwrap();
+        let wall = started.elapsed();
+        // Linux reports thread CPU time in USER_HZ = 100 ticks per second.
+        let cpu = Duration::from_millis(10 * (thread_cpu_ticks() - ticks));
+        assert!(wall >= Duration::from_secs(1));
+        assert!(
+            cpu < wall / 20,
+            "supervisor used {cpu:?} of CPU over {wall:?}"
+        );
+        assert_eq!(sharded.report.workers_spawned, 2);
+        assert_eq!(sharded.report.shards_aborted, 2);
+        assert_eq!(sharded.result.health.points_completed, 2);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn clean_exit_without_progress_spends_the_barren_budget() {
+        // Shard 1's worker exits 0 without journaling anything. It caps
+        // itself: after 10 runs it hangs, so a supervisor that respawns
+        // it without a budget ends on the heartbeat instead of forking
+        // forever.
+        let dir = tmp_dir("clean-barren");
+        fill_shards(&dir, 2);
+        rewrite_shard(&dir, 1, &[], &[]);
+        let runs = dir.join("runs");
+        let worker = sh(
+            r#"echo run >> "$1"; [ "$(wc -l < "$1")" -gt 10 ] && exec sleep 60; exit 0"#,
+            &["worker", runs.to_str().unwrap()],
+        );
+        let barren = 2usize;
+        let policy = ShardPolicy {
+            shards: 2,
+            heartbeat_timeout_ms: 2_000,
+            poll_interval_ms: 10,
+            max_barren_crashes: barren,
+            ..ShardPolicy::default()
+        };
+        let sharded = supervise_shards(
+            &demo_design(),
+            &config(),
+            &policy,
+            &durability(&dir),
+            &worker,
+        )
+        .unwrap();
+        assert_eq!(sharded.report.workers_spawned, barren + 1);
+        assert_eq!(sharded.report.workers_respawned, barren);
+        assert_eq!(sharded.report.crashes_observed, 0);
+        assert_eq!(sharded.report.hangs_killed, 0);
+        assert_eq!(sharded.report.shards_aborted, 1);
+        assert_eq!(sharded.result.health.points_completed, 2);
+        let logged = std::fs::read_to_string(&runs).unwrap();
+        assert_eq!(logged.lines().count(), barren + 1);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn error_return_kills_and_reaps_live_workers() {
+        // Shard 0's worker deletes its own program and exits 1, so its
+        // respawn fails; shard 1's worker records its pid and sleeps.
+        // The spawn error must not leave the sleeper running.
+        let dir = tmp_dir("error-reaps");
+        let program = dir.join("sh");
+        std::fs::copy("/bin/sh", &program).unwrap();
+        let pid_file = dir.join("sleeper.pid");
+        let script = r#"case "$3" in
+            *shard-0.journal)
+                i=0
+                while [ ! -s "$1" ] && [ $i -lt 500 ]; do sleep 0.01; i=$((i+1)); done
+                rm -f "$0"; exit 1 ;;
+            *) echo $$ > "$1"; exec sleep 30 ;;
+        esac"#;
+        let worker = WorkerSpec {
+            program: program.clone(),
+            args: vec![
+                "-c".into(),
+                script.into(),
+                program.to_str().unwrap().into(),
+                pid_file.to_str().unwrap().into(),
+            ],
+        };
+        let err = supervise_shards(
+            &demo_design(),
+            &config(),
+            &ShardPolicy::default(),
+            &durability(&dir),
+            &worker,
+        )
+        .unwrap_err();
+        let pid = std::fs::read_to_string(&pid_file).unwrap();
+        let pid = pid.trim();
+        let alive = Path::new("/proc").join(pid).exists();
+        if alive {
+            let _ = Command::new("kill").arg("-9").arg(pid).status();
+        }
+        assert!(matches!(err, ShardError::Spawn { shard: 0, .. }), "{err}");
+        assert!(!alive, "worker {pid} outlived the failed supervise call");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn strikes_reach_the_quarantine_journal_in_design_order() {
+        // Shard 1's journal holds dangling begins for points 3 and 1, in
+        // that order; one crash strikes both.
+        let dir = tmp_dir("strike-order");
+        fill_shards(&dir, 2);
+        rewrite_shard(&dir, 1, &[], &[3, 1]);
+        let policy = ShardPolicy {
+            shards: 2,
+            max_point_strikes: 1,
+            poll_interval_ms: 5,
+            ..ShardPolicy::default()
+        };
+        let sharded = supervise_shards(
+            &demo_design(),
+            &config(),
+            &policy,
+            &durability(&dir),
+            &sh("exit 7", &[]),
+        )
+        .unwrap();
+        assert_eq!(sharded.report.points_poisoned, vec![1, 3]);
+        let quarantine = Journal::load(&quarantine_path(&dir)).unwrap();
+        let struck: Vec<usize> = quarantine.dangling_begins.iter().map(|&(i, _)| i).collect();
+        assert_eq!(struck, vec![1, 3]);
     }
 
     #[test]
